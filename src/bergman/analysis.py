@@ -4,7 +4,7 @@ L^p deviation statistics, and the cone-family sweep."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import StringIO
 
 import numpy as np
@@ -137,7 +137,6 @@ class SweepRow:
 class ExpansionReport:
     rows: tuple = ()
     eps_witness: float = 0.0
-    meta: dict = field(default_factory=dict, compare=False)
 
     def to_csv(self, header_lines=()) -> str:
         buf = StringIO()
@@ -196,5 +195,4 @@ def cone_sweep(k_list, m_list, n_samples: int = 1024) -> ExpansionReport:
                 linf=lp_deviation(fld, math.inf),
                 verdict=sweep_verdicts(inf_n, sup_n, fld.argmin_r, m, eps_witness),
             ))
-    return ExpansionReport(rows=tuple(rows), eps_witness=eps_witness,
-                           meta={"k_list": k_list, "m_list": m_list})
+    return ExpansionReport(rows=tuple(rows), eps_witness=eps_witness)

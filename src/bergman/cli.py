@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -34,6 +33,7 @@ from .models import (
     round_sphere,
 )
 from .orbifold import min_on_ray, rho_closed, rho_oracle, degree_cap_for
+from .potential import build_potential
 from .resonance import construct_certificate, find_subunity_point
 
 __all__ = ["main", "run", "parse_config", "RunConfig"]
@@ -69,15 +69,6 @@ def _parse_ints(text: str):
 
 def _parse_complexes(text: str):
     return [complex(x.replace(" ", "")) for x in text.split(",") if x.strip()]
-
-
-def _resolve_threads(value):
-    if value is None:
-        value = os.environ.get("BERGMAN_THREADS", "1")
-    n = int(value)
-    if n < 1:
-        raise ValueError("--threads must be a positive integer")
-    return n
 
 
 def _header(command: str, params: dict):
@@ -148,7 +139,7 @@ def _cmd_resonance(p):
     lines = _header("resonance", p)
     rows = ["j,margin,sin_sum,r",
             f"{cert.j},{cert.margin!r},{cert.sin_sum!r},"
-            + ";".join(repr(x) for x in cert.r)]
+            + ";".join(repr(float(x)) for x in cert.r)]
     _emit(lines, rows, p.get("out"))
     print(f"certificate: j={cert.j} margin={cert.margin:.6e} "
           f"sin_sum={cert.sin_sum:.6e}", file=sys.stderr)
@@ -257,9 +248,10 @@ def _cmd_lp(p):
 def _cmd_fscurrent(p):
     m_list = _parse_ints(p.get("m_list", "10,20,40,80"))
     prof = _profile_from_params(p.get("profile", "round"), int(p.get("d", 1)), p.get("k"))
+    table = build_potential(prof)
     rows = ["m,sup_log_rho_over_m"]
     for m in m_list:
-        fld = rho_revolution(prof, m)
+        fld = rho_revolution(prof, m, table=table)
         rows.append(f"{m},{fs_current_sup(fld)!r}")
     _emit(_header("fscurrent", p), rows, p.get("out"))
     return 0
@@ -269,14 +261,8 @@ def _cmd_cone_sweep(p):
     k_list = _parse_ints(p.get("k_list", "10,20,40"))
     m_list = _parse_ints(p.get("m_list", "25,100,400"))
     rep = cone_sweep(k_list, m_list, n_samples=int(p.get("grid", 1024)))
-    text = rep.to_csv(_header("cone-sweep", p)
-                      + [f"eps_witness: {rep.eps_witness!r}"])
-    out = p.get("out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    lines = _header("cone-sweep", p) + [f"eps_witness: {rep.eps_witness!r}"]
+    _emit(lines, rep.to_csv().splitlines(), p.get("out"))
     print(rep.summary(), file=sys.stderr)
     return 0
 
@@ -323,7 +309,7 @@ def _validate(command: str, params: dict) -> dict:
     if command not in _SCHEMA:
         raise ValueError(f"unknown command {command!r}")
     schema = _SCHEMA[command]
-    unknown = set(params) - set(schema) - {"threads"}
+    unknown = set(params) - set(schema)
     if unknown:
         raise ValueError(f"unknown keys for {command}: {sorted(unknown)}")
     resolved = {}
@@ -334,7 +320,6 @@ def _validate(command: str, params: dict) -> dict:
             raise ValueError(f"{command} requires --{key.replace('_', '-')}")
         else:
             resolved[key] = default
-    resolved["threads"] = _resolve_threads(params.get("threads"))
     return resolved
 
 
@@ -386,7 +371,6 @@ def _build_parser():
                 sp.add_argument(flag, action="store_true")
             else:
                 sp.add_argument(flag, type=kind)
-        sp.add_argument("--threads", type=int)
     cp = sub.add_parser("config")
     cp.add_argument("path")
     return ap
@@ -419,3 +403,7 @@ def run(argv=None) -> int:
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

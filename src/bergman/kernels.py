@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 from .models import RevolutionProfile
@@ -32,100 +31,30 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_PANEL = 0.25
 
 
-_MAX_PANEL = 6.0
+def _gauss_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and log weights of the composite 32-point Gauss-Legendre rule on
+    [a, b] with equal panels at most _PANEL wide.
+
+    The monomial integrands are smooth and decay exponentially towards both
+    ends, so one fixed rule converges exponentially for every k at once."""
+    edges = np.linspace(a, b, max(1, math.ceil((b - a) / _PANEL)) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL_NODES
+    log_w = np.log(half) + np.log(_GL_WEIGHTS)
+    return nodes.ravel(), log_w.ravel()
 
 
-def _panel_edges(u_star: float, sigma: float, u_min: float, u_max: float) -> np.ndarray:
-    """Geometrically widening panel edges centred at the integrand peak.
-
-    Panel width is capped so the 32-point rule keeps converging on the
-    exponential tails far from the peak."""
-    offs = [0.0]
-    w = sigma
-    while offs[-1] < (u_max - u_min):
-        offs.append(offs[-1] + w)
-        w = min(2.0 * w, _MAX_PANEL)
-    offs = np.array(offs)
-    left = np.clip(u_star - offs, u_min, u_max)[::-1]
-    right = np.clip(u_star + offs, u_min, u_max)
-    edges = np.unique(np.concatenate([left, right]))
-    return edges
-
-
-def _log_gauss_panels(log_f, edges: np.ndarray) -> float:
-    """log of int exp(log_f) over the union of panels, by 32-pt Gauss-Legendre."""
-    a = edges[:-1]
-    b = edges[1:]
-    keep = b > a
-    a, b = a[keep], b[keep]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    nodes = mid + half * _GL_NODES[None, :]
-    lw = np.log(half) + np.log(_GL_WEIGHTS)[None, :]
-    vals = log_f(nodes.ravel()).reshape(nodes.shape)
-    return float(logsumexp(vals + lw))
-
-
-class _PeakCache:
-    """Shared coarse evaluation of phi and log lambda on a scan grid, used to
-    bracket each monomial integrand's peak before local refinement."""
-
-    def __init__(self, table: PotentialTable, nodes: int = 1600):
-        self.table = table
-        self.u = np.linspace(table.u_min, table.u_max, nodes)
-        self.phi = np.asarray(table.phi(self.u), dtype=float)
-        self.log_lam = np.log(np.maximum(table.lam(self.u), 1e-300))
-
-
-def _find_peak(table: PotentialTable, m: int, k: int,
-               cache: _PeakCache | None = None) -> tuple[float, float]:
-    """Peak location and width of e^{2ku - 2 pi m phi} lambda.
-
-    The monotone phi' gives 2k = 2 pi m phi'(u) as a first guess, but near the
-    poles the lambda factor moves the peak far from it, so the bracket comes
-    from a coarse scan of the full log-integrand.  Returns (u*, sigma)."""
-    if cache is None:
-        cache = _PeakCache(table)
-    log_g = 2.0 * k * cache.u - 2.0 * math.pi * m * cache.phi + cache.log_lam
-    i = int(np.argmax(log_g))
-    a = cache.u[max(i - 1, 0)]
-    b = cache.u[min(i + 1, len(cache.u) - 1)]
-
-    def neg_log_g(u):
-        lam = max(float(table.lam(u)), 1e-300)
-        return -(2.0 * k * u - 2.0 * math.pi * m * float(table.phi(u)) + math.log(lam))
-
-    if b > a:
-        res = minimize_scalar(neg_log_g, bounds=(a, b), method="bounded",
-                              options={"xatol": 1e-9})
-        u_star = float(res.x)
-    else:
-        u_star = float(cache.u[i])
-    # width from the local curvature of the log-integrand
-    h = 1e-3
-    uu = np.clip([u_star - h, u_star, u_star + h], table.u_min, table.u_max)
-    if uu[0] < uu[1] < uu[2]:
-        curv = -(neg_log_g(uu[0]) - 2 * neg_log_g(uu[1]) + neg_log_g(uu[2])) / h**2
-        curv = -curv
-    else:
-        curv = 0.0
-    sigma = 1.0 / math.sqrt(curv) if curv > 0.25 else 2.0
-    return u_star, float(np.clip(sigma, 0.02, 2.0))
-
-
-def _log_integrand(table: PotentialTable, m: int, k):
-    """log of 2 pi e^{2ku - 2 pi m phi(u)} lambda(u) as a vectorized callable."""
-    k = np.asarray(k)
-
-    def log_f(u):
-        u = np.asarray(u, dtype=float)
-        lam = np.maximum(table.lam(u), 1e-300)
-        return (math.log(2.0 * math.pi) + 2.0 * k * u
-                - 2.0 * math.pi * m * table.phi(u) + np.log(lam))
-
-    return log_f
+def _log_norms_on(table: PotentialTable, m: int, ks: np.ndarray,
+                  a: float, b: float) -> np.ndarray:
+    """log of 2 pi int_a^b e^{2ku - 2 pi m phi} lambda du for every k in ks."""
+    u, log_w = _gauss_rule(a, b)
+    lam = np.maximum(table.lam(u), 1e-300)
+    base = (log_w + math.log(2.0 * math.pi)
+            - 2.0 * math.pi * m * table.phi(u) + np.log(lam))
+    return logsumexp(2.0 * ks[:, None] * u + base, axis=1)
 
 
 def log_monomial_norms(table: PotentialTable, m: int, d: int | None = None) -> np.ndarray:
@@ -136,15 +65,10 @@ def log_monomial_norms(table: PotentialTable, m: int, d: int | None = None) -> n
         d = table.d
     if d != table.d:
         raise ValueError(f"degree {d} does not match the table's {table.d}")
-    out = np.empty(m * d + 1)
-    cache = _PeakCache(table)
-    for k in range(m * d + 1):
-        u_star, sigma = _find_peak(table, m, k, cache)
-        edges = _panel_edges(u_star, sigma, table.u_min, table.u_max)
-        val = _log_gauss_panels(_log_integrand(table, m, k), edges)
-        if not math.isfinite(val):
-            raise ArithmeticError(f"monomial norm k={k} did not converge")
-        out[k] = val
+    out = _log_norms_on(table, m, np.arange(m * d + 1), table.u_min, table.u_max)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ArithmeticError(f"monomial norm k={bad[0]} did not converge")
     return out
 
 
@@ -179,14 +103,13 @@ class KernelField:
     argmin_r: float
     integral: float  # int rho dA on an independent grid
 
-    @property
-    def points(self):
-        return self.r
-
 
 def kernel_area_integral(table: PotentialTable, m: int, log_norms: np.ndarray,
                          nodes: int = 20001) -> float:
-    """int rho_m dA = 2 pi int rho(u) lambda(u) du on a fresh uniform grid."""
+    """int rho_m dA = 2 pi int rho(u) lambda(u) du on a fresh uniform grid.
+
+    On the nodes of the norm rule the identity int rho dA = md+1 would hold
+    by construction; Simpson's rule on its own grid keeps it a check."""
     u = np.linspace(table.u_min, table.u_max, nodes)
     rho = rho_at_u(table, m, u, log_norms)
     lam = table.lam(u)
@@ -255,22 +178,15 @@ def peak_section_tail(profile: RevolutionProfile, m: int, center_r: float,
     u_lo = table.u_of_r(lo_r) if lo_r > 0 else None
     u_hi = table.u_of_r(hi_r) if hi_r < profile.length else None
 
-    def band_log_norm(k, a, b):
-        log_f = _log_integrand(table, m, np.asarray(k))
-        u_star, sigma = _find_peak(table, m, int(k))
-        edges = _panel_edges(u_star, sigma, a, b)
-        return _log_gauss_panels(log_f, edges)
-
-    parts = []
-    for k in ks:
-        outs = []
-        if u_lo is not None and u_lo > table.u_min:
-            outs.append(band_log_norm(k, table.u_min, u_lo))
-        if u_hi is not None and u_hi < table.u_max:
-            outs.append(band_log_norm(k, u_hi, table.u_max))
-        if outs:
-            parts.append(log_c2[k] + logsumexp(np.array(outs)))
-    tail = float(np.exp(logsumexp(np.array(parts)) - log_total)) if parts else 0.0
+    bands = []
+    if u_lo is not None and u_lo > table.u_min:
+        bands.append(_log_norms_on(table, m, ks, table.u_min, u_lo))
+    if u_hi is not None and u_hi < table.u_max:
+        bands.append(_log_norms_on(table, m, ks, u_hi, table.u_max))
+    tail = 0.0
+    if bands:
+        log_out = logsumexp(np.array(bands), axis=0)
+        tail = float(np.exp(logsumexp(log_c2 + log_out) - log_total))
     coeffs = np.exp(0.5 * (log_c2 - log_total))
     return coeffs, min(tail, 1.0), rho0
 

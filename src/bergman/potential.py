@@ -8,7 +8,8 @@ square-integrable for a degree-d profile.
 
 Everything is driven by one stiff-free ODE solve (state r, I = int lambda,
 J = int I) whose dense output serves as the interpolant; this keeps phi
-accurate to ~1e-11, which the kernel pipeline needs at m ~ 100.
+accurate to ~1e-13, so that 2 pi m phi, and with it log N_k, stays within
+1e-10 up to m = 400.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ _TRUNC_LOG = 18.0 * math.log(10.0)
 _MARGIN = 6.0
 
 
-def _pole_slope(profile: RevolutionProfile, left: bool) -> float:
-    """Numerical one-sided slope of psi at a pole."""
-    L = profile.length
-    h = 1e-6 * L
-    if left:
-        return float(profile.psi(h) / h)
-    return float(profile.psi(L - h) / h)
-
-
 @dataclass(frozen=True)
 class PotentialTable:
     """Conformal-coordinate data of a polarized revolution profile."""
@@ -51,7 +43,6 @@ class PotentialTable:
     _sol_neg: object = field(repr=False, compare=False)
     _sol_pos: object = field(repr=False, compare=False)
     _K: float = field(repr=False)  # phi'(u) = 2 I(u) + K
-    u_grid: np.ndarray = field(repr=False, compare=False, default=None)
 
     def _state(self, u):
         """(r, I, J) at u, from the dense ODE output."""
@@ -95,13 +86,8 @@ class PotentialTable:
         st = self._state(u)
         return 2.0 * st[2] + self._K * np.asarray(u, dtype=float).clip(self.u_min, self.u_max)
 
-    # sampled views (used by invariant checks and CSV dumps)
-    def sampled(self, nodes: int = 2048):
-        u = np.linspace(self.u_min, self.u_max, nodes)
-        return u, self.lam(u), self.phi(u)
 
-
-def build_potential(profile: RevolutionProfile, rtol: float = 1e-12) -> PotentialTable:
+def build_potential(profile: RevolutionProfile, rtol: float = 1e-13) -> PotentialTable:
     """Integrate the chart reduction of a profile to a PotentialTable.
 
     The grid depth per side follows the pole slopes so that every monomial
@@ -123,8 +109,7 @@ def build_potential(profile: RevolutionProfile, rtol: float = 1e-12) -> Potentia
 
     r0 = brentq(cum, 1e-9 * L, L * (1 - 1e-9), xtol=1e-15 * L)
 
-    slope_l = _pole_slope(profile, left=True)
-    slope_r = _pole_slope(profile, left=False)
+    slope_l, slope_r = profile.cone_slopes
     u_min = -(_TRUNC_LOG / (2.0 * slope_l) + _MARGIN)
     u_max = +(_TRUNC_LOG / (2.0 * slope_r) + _MARGIN)
 

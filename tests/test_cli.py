@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bergman
 from bergman.cli import RunConfig, parse_config, run
 
 
@@ -28,9 +33,6 @@ class TestExitCodes:
         assert run(["cpn", "--n", "1", "--m", "3",
                     "--out", "/nonexistent/dir/x.csv"]) == 1
 
-    def test_bad_threads_is_2(self):
-        assert run(["cpn", "--n", "1", "--m", "3", "--threads", "0"]) == 2
-
     def test_no_command_is_2(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
@@ -45,7 +47,7 @@ class TestOutputFormat:
         assert lines[0].startswith("# bergman ")
         assert lines[1] == "# command: orbifold-eval"
         cfg = json.loads(lines[2].removeprefix("# config: "))
-        assert cfg["weights"] == "1/3" and cfg["threads"] == 1
+        assert cfg["weights"] == "1/3"
         assert lines[3] == "rho"
 
     def test_orbifold_eval_fixture(self, tmp_path):
@@ -79,6 +81,25 @@ class TestOutputFormat:
         assert "n,m,rho_exact,rho_oracle" in cap.out
         assert "2,3,20,20" in cap.out
 
+    def test_module_entry_point(self):
+        src = str(Path(bergman.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "bergman.cli", "cpn", "--n", "2", "--m", "3"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0
+        assert "n,m,rho_exact,rho_oracle" in proc.stdout
+        assert "2,3,20,20" in proc.stdout
+
+    def test_resonance_ray_is_numeric(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run(["resonance", "--weights", "1/3,1/5", "--out", str(out)]) == 0
+        lines = [ln for ln in read(out).splitlines() if not ln.startswith("#")]
+        assert lines[0] == "j,margin,sin_sum,r"
+        ray = lines[1].split(",")[3].split(";")
+        assert len(ray) == 2
+        assert all(math.isfinite(float(x)) for x in ray)
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["revolution", "--profile", "round", "--m", "9", "--grid", "64"]
@@ -107,7 +128,6 @@ class TestConfigFile:
         assert isinstance(cfg, RunConfig)
         assert cfg.command == "cpn"
         assert cfg.params["n"] == 1 and cfg.params["m"] == 7
-        assert cfg.params["threads"] == 1  # default resolved
         assert cfg.params["out"] is None
 
     def test_config_subcommand_runs(self, tmp_path):
@@ -140,9 +160,3 @@ class TestConfigFile:
 
     def test_missing_file_is_2(self, tmp_path):
         assert run(["config", str(tmp_path / "absent.json")]) == 2
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BERGMAN_THREADS", "4")
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"command": "cpn", "n": 1, "m": 7}))
-        assert parse_config(str(path)).params["threads"] == 4

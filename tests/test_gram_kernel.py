@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gammaln
 
 from bergman.gram import (
@@ -45,6 +46,11 @@ def cone8_table():
     return build_potential(rescale_to_area(make_cone_family(8).profile, 1))
 
 
+@pytest.fixture(scope="module")
+def cone40_table():
+    return build_potential(rescale_to_area(make_cone_family(40).profile, 1))
+
+
 class TestPotential:
     def test_degree_bookkeeping(self, round_table):
         t = round_table
@@ -77,11 +83,26 @@ class TestPotential:
 
 class TestMonomialNorms:
     def test_round_sphere_closed_form(self, round_table):
-        m = 17
-        k = np.arange(m + 1)
-        exact = (math.log(2 * math.pi * R_UNIT**2) + (m + 1) * math.log(2)
-                 + gammaln(k + 1) + gammaln(m - k + 1) - gammaln(m + 2))
-        assert np.max(np.abs(log_monomial_norms(round_table, m) - exact)) < 1e-10
+        for m in (17, 400):
+            k = np.arange(m + 1)
+            exact = (math.log(2 * math.pi * R_UNIT**2) + (m + 1) * math.log(2)
+                     + gammaln(k + 1) + gammaln(m - k + 1) - gammaln(m + 2))
+            assert np.max(np.abs(log_monomial_norms(round_table, m) - exact)) < 1e-10
+
+    def test_cone_matches_adaptive_quad(self, cone40_table):
+        # independent adaptive quadrature of N_k, shifted by the peak of the
+        # log-integrand so that the integrand stays in floating-point range
+        t, m = cone40_table, 100
+        logN = log_monomial_norms(t, m)
+        grid = np.linspace(t.u_min, t.u_max, 4001)
+        for k in (0, 1, 50):
+            def log_f(u):
+                return 2.0 * k * u - 2.0 * math.pi * m * t.phi(u) + np.log(t.lam(u))
+            shift = float(np.max(log_f(grid)))
+            val, _ = quad(lambda u: math.exp(float(log_f(u)) - shift),
+                          t.u_min, t.u_max, limit=400, epsabs=0.0, epsrel=1e-13)
+            ref = math.log(2.0 * math.pi) + shift + math.log(val)
+            assert abs(logN[k] - ref) < 1e-10
 
     def test_antipodal_symmetry(self, round_table):
         m = 12
