@@ -126,7 +126,8 @@ def _cmd_orbifold_ray(p):
     t_star, rho_star = min_on_ray(w, direction, t_max, nodes=nodes)
     sq = np.sqrt(direction)
     ts = np.linspace(t_max / nodes, t_max, nodes)
-    rows = ["t,rho"] + [f"{float(t)!r},{rho_closed(w, t * sq)!r}" for t in ts]
+    rhos = rho_closed(w, ts[:, None] * sq)
+    rows = ["t,rho"] + [f"{float(t)!r},{float(rho)!r}" for t, rho in zip(ts, rhos)]
     lines = _header("orbifold-ray", p) + [f"min: t={t_star!r} rho={rho_star!r}"]
     _emit(lines, rows, p.get("out"))
     print(f"ray minimum rho = {rho_star:.12f} at t = {t_star:.9f}", file=sys.stderr)

@@ -32,6 +32,7 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _PANEL = 0.25
+_AREA_BLOCK = 2048  # nodes per kernel evaluation in kernel_area_integral
 
 
 def _gauss_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -109,9 +110,12 @@ def kernel_area_integral(table: PotentialTable, m: int, log_norms: np.ndarray,
     """int rho_m dA = 2 pi int rho(u) lambda(u) du on a fresh uniform grid.
 
     On the nodes of the norm rule the identity int rho dA = md+1 would hold
-    by construction; Simpson's rule on its own grid keeps it a check."""
+    by construction; Simpson's rule on its own grid keeps it a check.  The
+    kernel is evaluated in row blocks so the nodes x (md+1) temporaries stay
+    small at large m."""
     u = np.linspace(table.u_min, table.u_max, nodes)
-    rho = rho_at_u(table, m, u, log_norms)
+    blocks = np.array_split(u, -(-nodes // _AREA_BLOCK))
+    rho = np.concatenate([rho_at_u(table, m, b, log_norms) for b in blocks])
     lam = table.lam(u)
     from scipy.integrate import simpson
     return float(2.0 * math.pi * simpson(rho * lam, x=u))

@@ -53,9 +53,11 @@ class CyclicWeights:
     def n(self) -> int:
         return len(self.pairs)
 
-    def phases(self, k: int) -> np.ndarray:
-        """Angles 2*pi*k*p_l/q_l of the k-th power of the generator."""
-        return np.array([2.0 * math.pi * k * p / ql for p, ql in self.pairs])
+    def phases(self, k) -> np.ndarray:
+        """Angles 2*pi*k*p_l/q_l of the k-th power of the generator; an
+        integer array k gives one row per power, shape (len(k), n)."""
+        p, ql = np.array(self.pairs).T
+        return 2.0 * math.pi * np.asarray(k)[..., None] * p / ql
 
     def sigma(self, z: np.ndarray, a: int = 1) -> np.ndarray:
         """Apply the a-th power of the generator to a point of C^n."""

@@ -27,48 +27,59 @@ __all__ = [
 ]
 
 MAX_ORACLE_INDICES = 10_000
+_BLOCK_TERMS = 1 << 16  # points x q terms per batched block, bounds the temporaries
 
 
-def _check_point(w: CyclicWeights, z) -> np.ndarray:
+def _check_point(w: CyclicWeights, z, batch: bool = False) -> np.ndarray:
+    """z as a complex array of shape (n,), or also (N, n) when batch is set."""
     z = np.asarray(z, dtype=complex)
-    if z.shape != (w.n,):
+    if z.shape[-1:] != (w.n,) or z.ndim not in ((1, 2) if batch else (1,)):
         raise ValueError(f"point must have length n={w.n}, got shape {z.shape}")
     return z
 
 
-def rho_closed_detailed(w: CyclicWeights, z) -> tuple[float, float]:
+def rho_closed_detailed(w: CyclicWeights, z):
     """Closed-form kernel value and the accumulated imaginary residue.
 
     rho(z) = e^{-pi|z|^2} sum_{j=0}^{q-1} exp(pi sum_l |z_l|^2 e^{2 pi i j p_l / q_l}).
 
-    Terms j and q-j are complex conjugates; they are added pairwise so the
-    imaginary parts cancel before accumulation.  The residue reported is the
-    magnitude of the imaginary part left by naive accumulation, relative terms
-    included, and should sit at machine noise.
+    z is one point of shape (n,), giving two floats, or N points of shape
+    (N, n), giving two arrays of shape (N,); a batched row equals the
+    single-point call bit for bit.  Terms j and q-j are complex conjugates;
+    they are added pairwise so the imaginary parts cancel before accumulation.
+    The residue reported is the magnitude of the imaginary part left by naive
+    accumulation, relative terms included, and should sit at machine noise.
     """
-    z = _check_point(w, z)
-    s = np.abs(z) ** 2
-    total_s = float(np.sum(s))
+    z = _check_point(w, z, batch=True)
     q = w.q
-    # exponent_j = pi * sum_l s_l e^{i theta_l(j)} - pi |z|^2
-    terms = np.empty(q, dtype=complex)
-    for j in range(q):
-        terms[j] = np.exp(np.pi * np.sum(s * np.exp(1j * w.phases(j))) - np.pi * total_s)
-    value = terms[0].real
-    resid = 0.0
-    for j in range(1, q // 2 + 1):
-        jc = q - j
-        if jc == j or jc == q:
-            value += terms[j].real
-            resid += abs(terms[j].imag)
-        else:
-            value += 2.0 * terms[j].real
-            resid += abs(terms[j].imag + terms[jc].imag)
-    return float(value), float(resid)
+    rows = max(1, _BLOCK_TERMS // q)
+    if z.ndim == 2 and len(z) > rows:
+        value, resid = zip(*(rho_closed_detailed(w, z[i:i + rows])
+                             for i in range(0, len(z), rows)))
+        return np.concatenate(value), np.concatenate(resid)
+    s = np.abs(z) ** 2
+    e = np.exp(1j * w.phases(np.arange(q)))  # (q, n)
+    # exponent_j = pi * sum_l s_l e^{i theta_l(j)} - pi |z|^2; an elementwise
+    # sum rather than a matrix product keeps rows independent of the batch
+    expo = np.pi * np.sum(s[..., None, :] * e, axis=-1) \
+        - np.pi * np.sum(s, axis=-1)[..., None]
+    terms = np.exp(expo)
+    lo = terms[..., 1:(q + 1) // 2]   # j = 1 .. ceil(q/2)-1
+    hi = terms[..., q - 1:q // 2:-1]  # their conjugates q-j
+    value = terms[..., 0].real + 2.0 * np.sum(lo.real, axis=-1)
+    resid = np.sum(np.abs(lo.imag + hi.imag), axis=-1)
+    if q % 2 == 0:  # j = q/2 is its own conjugate
+        value = value + terms[..., q // 2].real
+        resid = resid + np.abs(terms[..., q // 2].imag)
+    if z.ndim == 1:
+        return float(value), float(resid)
+    return value, resid
 
 
-def rho_closed(w: CyclicWeights, z) -> float:
-    """Closed-form Bergman kernel of C^n/Z_q at the orbit of z (m = 1)."""
+def rho_closed(w: CyclicWeights, z):
+    """Closed-form Bergman kernel of C^n/Z_q at the orbit of z (m = 1).
+
+    A float for one point of shape (n,), an array for points of shape (N, n)."""
     value, _ = rho_closed_detailed(w, z)
     return value
 
@@ -138,18 +149,12 @@ def rho_oracle(w: CyclicWeights, z, degree_cap: int) -> OracleResult:
         raise ValueError(f"{len(idx)} indices exceed the {MAX_ORACLE_INDICES} cap")
     with np.errstate(divide="ignore"):
         log_s = np.where(s > 0, np.log(np.maximum(s, 1e-300)), -np.inf)
-    logs = []
-    for j in idx:
-        j = np.array(j, dtype=float)
-        with np.errstate(invalid="ignore"):
-            lt = np.sum(np.where(j > 0, j * (math.log(math.pi) + log_s), 0.0))
-        if not np.isfinite(lt):
-            continue  # z_l = 0 with j_l > 0: term vanishes
-        logs.append(lt - float(np.sum(gammaln(j + 1.0))))
-    if logs:
-        value = w.q * math.exp(logsumexp(np.array(logs)) - lam)
-    else:
-        value = 0.0
+    j = np.array(idx, dtype=float).reshape(-1, w.n)
+    with np.errstate(invalid="ignore"):
+        lt = np.sum(np.where(j > 0, j * (math.log(math.pi) + log_s), 0.0), axis=1)
+    live = np.isfinite(lt)  # z_l = 0 with j_l > 0: term vanishes
+    logs = lt[live] - np.sum(gammaln(j[live] + 1.0), axis=1)
+    value = w.q * math.exp(logsumexp(logs) - lam) if logs.size else 0.0
     tail = w.q * float(gammainc(degree_cap + 1, lam)) if lam > 0 else 0.0
     return OracleResult(value=float(value), tail_bound=tail,
                         degree_cap=degree_cap, n_indices=len(idx))
@@ -172,7 +177,7 @@ def min_on_ray(w: CyclicWeights, direction, t_max: float, nodes: int = 512) -> t
         return rho_closed(w, t * sq)
 
     ts = np.linspace(t_max / nodes, t_max, nodes)
-    vals = np.array([f(t) for t in ts])
+    vals = rho_closed(w, ts[:, None] * sq)
     i = int(np.argmin(vals))
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, nodes - 1)]

@@ -48,9 +48,7 @@ class SubUnityWitness:
 
 def _cos_sums(w: CyclicWeights, r: np.ndarray) -> np.ndarray:
     """S(k) = sum_l r_l cos(2 pi k p_l / q_l) for k = 0..q-1."""
-    ks = np.arange(w.q)
-    thetas = np.array([[2.0 * math.pi * k * p / ql for p, ql in w.pairs] for k in ks])
-    return np.cos(thetas) @ r
+    return np.cos(w.phases(np.arange(w.q))) @ r
 
 
 def _sin_sum(w: CyclicWeights, r: np.ndarray, j: int) -> float:
@@ -101,13 +99,12 @@ def _combine(w: CyclicWeights, order: list[int], sub: ResonanceCertificate,
     exists."""
     n = w.n
     q = w.q
-    p_last, q_last = w.pairs[order[-1]]
     r_head = np.zeros(n)
     for i, l in enumerate(order[:-1]):
         r_head[l] = sub.r[i]
     S_head = _cos_sums(w, r_head)  # last coordinate has weight 0 here
-    cos_last = np.cos(2.0 * math.pi * np.arange(q) * p_last / q_last)
-    sin_last = np.sin(2.0 * math.pi * np.arange(q) * p_last / q_last)
+    theta_last = w.phases(np.arange(q))[:, order[-1]]
+    cos_last, sin_last = np.cos(theta_last), np.sin(theta_last)
 
     n_blocks = q // q_prime
     candidates = sorted(
@@ -159,8 +156,7 @@ def _lp_search(w: CyclicWeights) -> ResonanceCertificate | None:
     away from zero.  Returns the first j (in quality order) that admits a
     strict certificate."""
     q, n = w.q, w.n
-    thetas = np.array([[2.0 * math.pi * k * p / ql for p, ql in w.pairs]
-                       for k in range(q)])
+    thetas = w.phases(np.arange(q))
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
 
     def quality(j):
@@ -282,19 +278,15 @@ def find_subunity_point(w: CyclicWeights, cert: ResonanceCertificate,
     if abs(cert.sin_sum) < SIN_MIN:
         raise ValueError("certificate sine sum too small")
     sq = np.sqrt(r)
-    best = (math.inf, 0.0, 0)
-    for k in range(k_max + 1):
-        t = math.sqrt((2 * k + 1) / abs(cert.sin_sum))
-        rho = rho_closed(w, t * sq)
-        if rho < best[0]:
-            best = (rho, t, k)
-        if rho < 1.0:
-            return SubUnityWitness(z=tuple(t * sq), rho=rho, k=k, t=t, found=True)
-    # fallback: global scan of the ray up to the largest phase tried
-    t_hi = math.sqrt((2 * k_max + 1) / abs(cert.sin_sum))
-    t_star, rho_star = min_on_ray(w, r, t_hi, nodes=2048)
-    if rho_star < 1.0:
-        return SubUnityWitness(z=tuple(t_star * sq), rho=rho_star, k=-1,
-                               t=t_star, found=True)
-    rho, t, k = best
-    return SubUnityWitness(z=tuple(t * sq), rho=rho, k=k, t=t, found=False)
+    ts = np.sqrt((2.0 * np.arange(k_max + 1) + 1.0) / abs(cert.sin_sum))
+    rhos = rho_closed(w, ts[:, None] * sq)
+    below = np.flatnonzero(rhos < 1.0)
+    if not below.size:
+        # fallback: global scan of the ray up to the largest phase tried
+        t_star, rho_star = min_on_ray(w, r, float(ts[-1]), nodes=2048)
+        if rho_star < 1.0:
+            return SubUnityWitness(z=tuple(t_star * sq), rho=rho_star, k=-1,
+                                   t=t_star, found=True)
+    k = int(below[0]) if below.size else int(np.argmin(rhos))
+    return SubUnityWitness(z=tuple(ts[k] * sq), rho=float(rhos[k]), k=k,
+                           t=float(ts[k]), found=bool(below.size))

@@ -168,12 +168,12 @@ class TestPeakSections:
 
     def test_interior_center_mass_normalized(self):
         prof = round_sphere()
-        coeffs, tail, _ = peak_section_tail(prof, 6, 0.4, 0.25)
+        table = build_potential(prof)
+        coeffs, tail, _ = peak_section_tail(prof, 6, 0.4, 0.25, table=table)
         assert 0.0 <= tail <= 1.0
-        assert abs(np.sum(np.abs(coeffs) ** 2 *
-                          monomial_norms(build_potential(prof), 6)
-                          / np.exp(0.0)) - 0.0) >= 0  # coefficients finite
         assert np.all(np.isfinite(coeffs))
+        mass = np.sum(coeffs ** 2 * np.exp(log_monomial_norms(table, 6)))
+        assert abs(mass - 1.0) < 1e-12
 
 
 class TestCpn:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergman.models import make_cyclic_weights
 from bergman.orbifold import (
@@ -57,6 +59,10 @@ class TestClosedForm:
         w = make_cyclic_weights([(1, 3)])
         with pytest.raises(ValueError):
             rho_closed(w, [1.0, 2.0])
+        w = make_cyclic_weights([(1, 3), (2, 5)])
+        for bad in (np.ones((4, 3)), np.ones((4, 1)), np.ones((2, 4, 2)), 1.0):
+            with pytest.raises(ValueError):
+                rho_closed_detailed(w, bad)
 
 
 class TestAdmissibleIndices:
@@ -153,3 +159,68 @@ class TestRandomizedProperties:
             base = rho_closed(w, z)
             a = int(rng.integers(1, w.q + 1))
             assert abs(rho_closed(w, w.sigma(z, a)) - base) < 1e-12 * max(base, 1.0)
+
+
+@st.composite
+def _weights_and_points(draw):
+    """A weight system of order q <= 300 and an (N, n) array of points."""
+    q = draw(st.integers(1, 300))
+    divisors = [d for d in range(1, q + 1) if q % d == 0]
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        ql = draw(st.sampled_from(divisors))
+        pairs.append((draw(st.sampled_from(
+            [p for p in range(ql) if math.gcd(p, ql) == 1])), ql))
+    w = make_cyclic_weights(pairs)
+    coords = st.floats(-2.0, 2.0, allow_nan=False)
+    n_points = draw(st.integers(1, 12))
+    re = np.array(draw(st.lists(coords, min_size=n_points * w.n,
+                                max_size=n_points * w.n)))
+    im = np.array(draw(st.lists(coords, min_size=n_points * w.n,
+                                max_size=n_points * w.n)))
+    z = (re + 1j * im).reshape(n_points, w.n)
+    return w, z, draw(st.integers(1, w.q))
+
+
+def _rho_loop(w, z):
+    """The closed form accumulated term by term in j, as the reference for
+    the array form, and the sum of the terms' moduli."""
+    s = np.abs(np.asarray(z)) ** 2
+    terms = [np.exp(np.pi * np.sum(s * np.exp(1j * w.phases(j))) - np.pi * np.sum(s))
+             for j in range(w.q)]
+    value = terms[0].real
+    for j in range(1, w.q // 2 + 1):
+        value += terms[j].real if 2 * j == w.q else 2.0 * terms[j].real
+    return value, sum(abs(t) for t in terms)
+
+
+class TestBatchedShape:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_weights_and_points())
+    def test_rows_match_single_points(self, case):
+        w, z, _ = case
+        values, resids = rho_closed_detailed(w, z)
+        assert values.shape == resids.shape == (len(z),)
+        for row, value, resid in zip(z, values, resids):
+            single = rho_closed_detailed(w, row)
+            assert single == (value, resid)
+            assert all(type(x) is float for x in single)
+            # only the order of the additions differs from the reference
+            ref, mass = _rho_loop(w, row)
+            assert abs(value - ref) <= w.q * np.finfo(float).eps * mass
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_weights_and_points())
+    def test_origin_and_group_invariance(self, case):
+        w, z, a = case
+        assert np.all(rho_closed(w, np.zeros_like(z)) == w.q)
+        base = rho_closed(w, z)
+        moved = rho_closed(w, w.sigma(z, a))
+        assert np.all(np.abs(moved - base) <= 1e-12 * np.maximum(base, 1.0))
+
+    def test_blocks_match_single_points(self):
+        # more points than one block holds at q = 360
+        w = make_cyclic_weights([(1, 8), (2, 45)])
+        z = np.linspace(0.01, 3.0, 400)[:, None] * np.array([1.0, 0.7 + 0.2j])
+        values = rho_closed(w, z)
+        assert all(rho_closed(w, row) == v for row, v in zip(z, values))
