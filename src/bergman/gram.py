@@ -108,14 +108,12 @@ def _correction_matrix(model: GramModel) -> np.ndarray:
     W = (1.0 + s[:, None]) ** (-m) * (np.exp(m * phi) * D - base[:, None])
     # angular transform: A[r, d] = int W e^{-i d theta} d theta
     A = np.fft.fft(W, axis=1) * (2.0 * math.pi / nt)
-    C = np.zeros((m + 1, m + 1), dtype=complex)
-    for i in range(m + 1):
-        for j in range(i, m + 1):
-            d = j - i  # z^i conj(z)^j carries e^{-i d theta}
-            radial = wr * rho ** (i + j)
-            C[i, j] = np.sum(radial * A[:, d])
-            C[j, i] = np.conj(C[i, j])
-    return C
+    # z^i conj(z)^j carries rho^(i+j) e^{-i (j-i) theta}: C_ij = M[i+j, j-i]
+    P = wr[:, None] * rho[:, None] ** np.arange(2 * m + 1)
+    M = P.T @ A[:, :m + 1]
+    i, j = np.indices((m + 1, m + 1))
+    C = M[i + j, np.abs(j - i)]
+    return np.where(j > i, C, C.conj())
 
 
 def gram_matrix(model: GramModel) -> np.ndarray:

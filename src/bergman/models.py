@@ -104,7 +104,7 @@ def eval_f_k(k: int, r):
     a = f_k_alpha(k)
     end = f_k_domain_end(k)
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < -1e-15) or np.any(r_arr > end + 1e-12):
+    if (r_arr < -1e-15).any() or (r_arr > end + 1e-12).any():
         raise ValueError(f"r outside [0, {end}]")
     rr = np.clip(r_arr, 0.0, end)
     s2 = math.sqrt(2.0)
@@ -161,7 +161,7 @@ def _finalize_profile(psi, length, d, slopes, name, nodes=DEFAULT_GRID_NODES) ->
         length=float(length), psi=psi, d=int(d), cone_slopes=(float(slopes[0]), float(slopes[1])),
         name=name, r_grid=r, psi_grid=vals,
     )
-    if np.any(vals <= 0.0):
+    if (vals <= 0.0).any():
         raise ValueError(f"profile {name!r}: psi must be positive on the interior")
     return prof
 
@@ -280,13 +280,13 @@ def _smoothed_fk_callable(k: int):
         mid1 = (rr > x1) & (rr < x2)
         out = np.where(mid1, out + d1, out)
         win1 = (rr >= x0) & (rr <= x1)
-        if np.any(win1):
+        if win1.any():
             out = np.where(win1, _hermite_slope_blend(rr, x0, x1, f0, g0, m0, g1, m1), out)
         win2 = (rr >= x2) & (rr <= x3)
-        if np.any(win2):
+        if win2.any():
             out = np.where(win2, _hermite_slope_blend(rr, x2, x3, f2 + d1, g2, m2, g3, m3), out)
         fade = (rr > x3) & (rr < x4)
-        if np.any(fade):
+        if fade.any():
             out = np.where(fade, out + d2 * (1.0 - _smoothstep_c2((rr - x3) / (x4 - x3))), out)
         return out if out.shape else float(out)
 
@@ -312,7 +312,7 @@ def make_cone_family(k: int, kappa: float = 0.05, nodes: int = DEFAULT_GRID_NODE
     vals = np.asarray(psi(r))
     d2 = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h**2
     bad = -d2 < kappa * vals[1:-1] - 1e-9
-    if np.any(bad):
+    if bad.any():
         worst = np.min((-d2 - kappa * vals[1:-1])[bad])
         raise ValueError(f"curvature bound -psi'' >= {kappa}*psi fails by {worst:.3e}")
     return ConeApproxFamily(k=k, alpha_k=f_k_alpha(k), smoothing_width=w, kappa=kappa, profile=prof)
@@ -335,10 +335,7 @@ class PerturbedPotential:
 
     def cutoff(self, rho):
         """Radial bump: 1 on [0,1/2], 0 on [1,inf), quintic smoothstep between."""
-        rho = np.asarray(rho, dtype=float)
-        t = np.clip(2.0 * (rho - 0.5), 0.0, 1.0)
-        s = 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
-        return s
+        return 1.0 - _smoothstep_c2(2.0 * (np.asarray(rho, dtype=float) - 0.5))
 
     def cutoff_d1(self, rho):
         rho = np.asarray(rho, dtype=float)

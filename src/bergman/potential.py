@@ -6,10 +6,11 @@ potential phi solves phi'' = 2 lambda with lambda(u) = psi(r(u))^2, gauged by
 phi'(-inf) = 0 and phi(0) = 0, so that exactly the monomials z^0..z^{md} are
 square-integrable for a degree-d profile.
 
-Everything is driven by one stiff-free ODE solve (state r, I = int lambda,
-J = int I) whose dense output serves as the interpolant; this keeps phi
-accurate to ~1e-13, so that 2 pi m phi, and with it log N_k, stays within
-1e-10 up to m = 400.
+Everything is driven by one stiff-free ODE solve per side of the area-median
+radius (state r, I = int lambda, J = int I); the stacked DOP853 segments of
+both serve as one interpolant, evaluated bit for bit as scipy would.  This
+keeps phi accurate to ~1e-13, so that 2 pi m phi, and with it log N_k, stays
+within 1e-10 up to m = 400.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = ["PotentialTable", "build_potential"]
 # of the monomial integrands; their pole decay rate is twice the pole slope
 _TRUNC_LOG = 18.0 * math.log(10.0)
 _MARGIN = 6.0
+_RTOL = 1e-13  # DOP853 tolerance; phi drifts ~rtol per unit u, times 2 pi m
 
 
 @dataclass(frozen=True)
@@ -40,22 +42,24 @@ class PotentialTable:
     u_min: float
     u_max: float
     r_equator: float
-    _sol_neg: object = field(repr=False, compare=False)
-    _sol_pos: object = field(repr=False, compare=False)
+    # DOP853 segments of both solves, ascending in u: breaks, t_old, h, y_old, F
+    _dense: tuple = field(repr=False, compare=False)
     _K: float = field(repr=False)  # phi'(u) = 2 I(u) + K
 
     def _state(self, u):
         """(r, I, J) at u, from the dense ODE output."""
-        u = np.asarray(u, dtype=float)
-        u = np.clip(u, self.u_min, self.u_max)
-        flat = np.atleast_1d(u)
-        out = np.empty((3, flat.size))
-        neg = flat <= 0
-        if np.any(neg):
-            out[:, neg] = self._sol_neg(flat[neg])
-        if np.any(~neg):
-            out[:, ~neg] = self._sol_pos(flat[~neg])
-        return out.reshape((3,) + u.shape)
+        breaks, t_old, h, y_old, F = self._dense
+        t = np.clip(np.asarray(u, dtype=float).ravel(), self.u_min, self.u_max)
+        # at a breakpoint take the segment nearer u = 0, as OdeSolution does
+        i = np.searchsorted(breaks[1:-1], np.where(t < 0, np.nextafter(t, 0.0), t))
+        x = ((t - t_old[i]) / h[i])[:, None]
+        F = F[i]
+        y = np.zeros((t.size, 3))
+        for k in range(6, -1, -1):  # Dop853DenseOutput._call_impl, same order
+            y += F[:, k]
+            y *= x if k % 2 == 0 else 1 - x
+        y += y_old[i]
+        return y.T.reshape((3,) + np.shape(u))
 
     def r_of_u(self, u):
         return self._state(u)[0]
@@ -87,7 +91,7 @@ class PotentialTable:
         return 2.0 * st[2] + self._K * np.asarray(u, dtype=float).clip(self.u_min, self.u_max)
 
 
-def build_potential(profile: RevolutionProfile, rtol: float = 1e-13) -> PotentialTable:
+def build_potential(profile: RevolutionProfile) -> PotentialTable:
     """Integrate the chart reduction of a profile to a PotentialTable.
 
     The grid depth per side follows the pole slopes so that every monomial
@@ -96,18 +100,26 @@ def build_potential(profile: RevolutionProfile, rtol: float = 1e-13) -> Potentia
     L = profile.length
     if L <= 0:
         raise ValueError("profile has no positive part")
-    area = profile.area()
+    integral = lambda a, b: quad(profile.psi, a, b, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+    r0, cum = 0.5 * L, integral(0.0, 0.5 * L)
+    half = 0.5 * (cum + integral(r0, L))  # int psi over half the area
     d = profile.d
-    if abs(area - d) > 1e-8 * max(d, 1):
-        raise ValueError(
-            f"profile area {area} is not the integer degree {d}; rescale first")
+    if abs(4.0 * math.pi * half - d) > 1e-8 * max(d, 1):
+        raise ValueError(f"profile area {4.0 * math.pi * half} is not the "
+                         f"integer degree {d}; rescale first")
 
-    # area-median radius: 2 pi int_0^r0 psi = area/2
-    def cum(rr):
-        v, _ = quad(profile.psi, 0.0, rr, epsabs=0.0, epsrel=1e-12, limit=500)
-        return 2.0 * math.pi * v - 0.5 * area
-
-    r0 = brentq(cum, 1e-9 * L, L * (1 - 1e-9), xtol=1e-15 * L)
+    # area-median radius: bracketed Newton on int_0^r psi = half, from L/2
+    lo, hi = 0.0, L
+    for _ in range(100):
+        lo, hi = (r0, hi) if cum < half else (lo, r0)
+        r1 = r0 - (cum - half) / float(profile.psi(r0))
+        r1 = r1 if lo <= r1 <= hi else 0.5 * (lo + hi)
+        cum += integral(r0, r1)
+        r0, step = r1, r1 - r0
+        if abs(step) <= 1e-15 * L:
+            break
+    else:
+        raise RuntimeError("area-median radius search did not converge")
 
     slope_l, slope_r = profile.cone_slopes
     u_min = -(_TRUNC_LOG / (2.0 * slope_l) + _MARGIN)
@@ -118,7 +130,7 @@ def build_potential(profile: RevolutionProfile, rtol: float = 1e-13) -> Potentia
         ps = float(profile.psi(r))
         return (ps, ps * ps, y[1])
 
-    kw = dict(method="DOP853", rtol=rtol, atol=1e-16, dense_output=True)
+    kw = dict(method="DOP853", rtol=_RTOL, atol=1e-16, dense_output=True)
     sol_neg = solve_ivp(rhs, (0.0, u_min), (r0, 0.0, 0.0), **kw)
     sol_pos = solve_ivp(rhs, (0.0, u_max), (r0, 0.0, 0.0), **kw)
     if not (sol_neg.success and sol_pos.success):
@@ -131,9 +143,11 @@ def build_potential(profile: RevolutionProfile, rtol: float = 1e-13) -> Potentia
     tail = lam_end / (2.0 * slope_l)
     K = -2.0 * i_end + 2.0 * tail
 
+    segs = sol_neg.sol.interpolants[::-1] + sol_pos.sol.interpolants
+    dense = [np.array([getattr(s, a) for s in segs]) for a in ("t_old", "h", "y_old", "F")]
     table = PotentialTable(
-        profile=profile, d=d, u_min=float(u_min), u_max=float(u_max),
-        r_equator=float(r0), _sol_neg=sol_neg.sol, _sol_pos=sol_pos.sol, _K=float(K),
+        profile=profile, d=d, u_min=float(u_min), u_max=float(u_max), r_equator=float(r0),
+        _dense=(np.concatenate([sol_neg.t[::-1], sol_pos.t[1:]]), *dense), _K=float(K),
     )
     # degree bookkeeping: phi'(+inf) - phi'(-inf) = d/pi
     dphi = float(table.phi_prime(u_max) - table.phi_prime(u_min))

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.special import gammaln
 
+from bergman import gram, potential
 from bergman.gram import (
     GramModel,
     fs_log_norms,
@@ -79,6 +81,61 @@ class TestPotential:
         prof = make_cone_family(5).profile  # area far from integer degree
         with pytest.raises(ValueError):
             build_potential(prof)
+
+    def test_area_check_precedes_ode(self, monkeypatch):
+        monkeypatch.setattr(potential, "solve_ivp", None)
+        with pytest.raises(ValueError, match="rescale first"):
+            build_potential(make_cone_family(5).profile)
+
+    def test_dense_output_matches_scipy(self, monkeypatch):
+        # the stacked evaluator reproduces scipy's OdeSolution of the same
+        # two solves bit for bit, at breakpoints and outside the range too
+        sols = []
+
+        def recording_solve(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            # a jump at every breakpoint makes the choice of segment visible
+            for n, seg in enumerate(sol.sol.interpolants):
+                seg.y_old = seg.y_old + 1e-12 * (n + 1) * (len(sols) + 1)
+            sols.append(sol)
+            return sol
+
+        monkeypatch.setattr(potential, "solve_ivp", recording_solve)
+        t = build_potential(rescale_to_area(make_cone_family(10).profile, 1))
+        neg, pos = (s.sol for s in sols)
+        rng = np.random.default_rng(3)
+        u = np.concatenate([rng.uniform(t.u_min, t.u_max, 400), neg.ts, pos.ts,
+                            [0.0, -0.0, t.u_min - 1.0, t.u_max + 1.0, -1e300, 1e300, np.nan]])
+        c = np.clip(u, t.u_min, t.u_max)
+        ref = np.empty((3, u.size))
+        ref[:, c <= 0] = neg(c[c <= 0])
+        ref[:, ~(c <= 0)] = pos(c[~(c <= 0)])
+        assert np.array_equal(t._state(u), ref, equal_nan=True)
+        for v, want in zip(c, ref.T):
+            got = t._state(v)
+            assert got.shape == (3,)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(got, (neg if v <= 0 else pos)(v), equal_nan=True)
+
+    @pytest.mark.parametrize("k", [None, 10, 40])
+    def test_equator_halves_area(self, k):
+        # k=None is the round sphere
+        prof = round_sphere() if k is None else rescale_to_area(make_cone_family(k).profile, 1)
+        t = build_potential(prof)
+        half, _ = quad(prof.psi, 0.0, t.r_equator, limit=400, epsabs=0.0, epsrel=1e-13)
+        assert abs(2.0 * math.pi * half - 0.5 * prof.d) < 1e-12
+
+    def test_cone_build_psi_budget(self):
+        prof = rescale_to_area(make_cone_family(40).profile, 1)
+        calls = 0
+
+        def counting_psi(r):
+            nonlocal calls
+            calls += 1
+            return prof.psi(r)
+
+        build_potential(dataclasses.replace(prof, psi=counting_psi))
+        assert calls <= 6000
 
 
 class TestMonomialNorms:
@@ -204,6 +261,31 @@ class TestGram:
     def test_hermitian_exactly(self):
         G = gram_matrix(GramModel(8, PerturbedPotential(6)))
         assert np.max(np.abs(G - G.conj().T)) == 0.0
+
+    def test_correction_matches_double_loop(self):
+        # reference: the per-(i, j) loop over the same polar grid; the one
+        # matrix product only changes the order of the radial sums
+        m, pert = 12, PerturbedPotential(6)
+        model = GramModel(m, pert, n_r=40, n_theta=64)
+        xg, wg = np.polynomial.legendre.leggauss(model.n_r)
+        rho = 0.5 * (xg + 1.0)
+        wr = 0.5 * wg * rho
+        nt = model.n_theta
+        theta = 2.0 * math.pi * np.arange(nt) / nt
+        X = rho[:, None] * np.cos(theta)[None, :]
+        Y = rho[:, None] * np.sin(theta)[None, :]
+        s = rho * rho
+        base = 1.0 / (math.pi * (1.0 + s) ** 2)
+        D = perturbed_area_density(pert, X, Y)
+        W = (1.0 + s[:, None]) ** (-m) * (np.exp(m * pert.phi(X + 1j * Y)) * D - base[:, None])
+        A = np.fft.fft(W, axis=1) * (2.0 * math.pi / nt)
+        C = gram._correction_matrix(model)
+        for i in range(m + 1):
+            for j in range(i, m + 1):
+                terms = wr * rho ** (i + j) * A[:, j - i]
+                tol = model.n_r * np.finfo(float).eps * np.sum(np.abs(terms))
+                assert abs(C[i, j] - np.sum(terms)) <= tol
+                assert C[j, i] == np.conj(C[i, j])
 
     def test_offdiagonal_magnitude_bound(self):
         # couplings come from the k^-4 oscillation over the unit disc
