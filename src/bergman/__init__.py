@@ -20,9 +20,6 @@ from .models import (
     f_k_domain_end,
     make_cone_family,
     make_cyclic_weights,
-    profile_from_csv,
-    profile_from_samples,
-    profile_to_csv,
     rescale_to_area,
     round_sphere,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -168,10 +169,12 @@ def _cmd_revolution(p):
     m = int(p["m"])
     prof = _profile_from_params(p.get("profile", "round"), d, p.get("k"))
     grid = int(p.get("grid", 256))
-    fld = rho_revolution(prof, m, n_samples=grid)
+    table = build_potential(prof)
+    fld = rho_revolution(prof, m, table=table, n_samples=grid)
     lines = _header("revolution", p) + [
         f"inf={fld.inf!r} sup={fld.sup!r} argmin_r={fld.argmin_r!r} "
-        f"integral={fld.integral!r}"]
+        f"integral={fld.integral!r}",
+        f"health: residual={fld.integral - (m * d + 1)!r} table_error={table.error!r}"]
     rows = ["r,rho"] + [f"{float(r)!r},{float(v)!r}" for r, v in zip(fld.r, fld.values)]
     _emit(lines, rows, p.get("out"))
     print(f"rho_{m}: inf={fld.inf:.9f} sup={fld.sup:.9f} "
@@ -231,15 +234,17 @@ def _cmd_lp(p):
     m = int(p["m"])
     pexp = math.inf if p.get("p", "1") in ("inf", "oo") else float(p.get("p", "1"))
     pk = int(p.get("pert", 0))
+    lines = _header("lp", p)
     if pk:
         fld = rho_gram_field(GramModel(m, PerturbedPotential(pk)))
         n = 1
     else:
         prof = _profile_from_params(p.get("profile", "round"), int(p.get("d", 1)), p.get("k"))
-        fld = rho_revolution(prof, m)
+        table = build_potential(prof)
+        fld = rho_revolution(prof, m, table=table)
         n = 1
+        lines.append(f"health: table_error={table.error!r}")
     dev = lp_deviation(fld, pexp, n)
-    lines = _header("lp", p)
     rows = ["p,deviation", f"{pexp},{dev!r}"]
     _emit(lines, rows, p.get("out"))
     print(f"L^{pexp} deviation = {dev:.9e}", file=sys.stderr)
@@ -254,7 +259,8 @@ def _cmd_fscurrent(p):
     for m in m_list:
         fld = rho_revolution(prof, m, table=table)
         rows.append(f"{m},{fs_current_sup(fld)!r}")
-    _emit(_header("fscurrent", p), rows, p.get("out"))
+    _emit(_header("fscurrent", p) + [f"health: table_error={table.error!r}"],
+          rows, p.get("out"))
     return 0
 
 
@@ -321,6 +327,10 @@ def _validate(command: str, params: dict) -> dict:
             raise ValueError(f"{command} requires --{key.replace('_', '-')}")
         else:
             resolved[key] = default
+    for key in ("out", "dump_gram"):
+        folder = os.path.dirname(os.path.abspath(resolved.get(key) or "."))
+        if resolved.get(key) and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ValueError(f"--{key.replace('_', '-')}: {folder} is not a writable directory")
     return resolved
 
 

@@ -116,12 +116,19 @@ def _correction_matrix(model: GramModel) -> np.ndarray:
     return np.where(j > i, C, C.conj())
 
 
+def _finite(a, what: str):
+    """a itself; a NaN or an overflow is a failed computation, not bad input."""
+    if not np.isfinite(a).all():
+        raise ArithmeticError(f"{what} is not finite")
+    return a
+
+
 def gram_matrix(model: GramModel) -> np.ndarray:
     """Hermitian Gram matrix of z^0..z^m in the model's weighted L^2 product."""
     G = np.diag(np.exp(fs_log_norms(model.m))).astype(complex)
     if model.pert is not None:
         G = G + _correction_matrix(model)
-    return G
+    return _finite(G, "Gram matrix")
 
 
 def _chol(G: np.ndarray):
@@ -152,7 +159,7 @@ def rho_gram(G: np.ndarray, model: GramModel, z: complex) -> float:
         v = z ** ks * az ** (-float(m))
         scale_log = 2.0 * m * math.log(az)
     c = _chol(G)
-    w = cho_solve(c, v)
+    w = cho_solve(c, _finite(v, f"evaluation vector at z={z}"))
     quad = float(np.real(np.vdot(v, w)))
     s = az * az
     if model.pert is not None:
@@ -192,7 +199,7 @@ def rho_gram_field(model: GramModel, G: np.ndarray | None = None,
         else:
             V = z[:, None] ** ks[None, :] * ri ** (-float(m))
             scale_log = 2.0 * m * math.log(ri)
-        W = cho_solve(c, V.T)
+        W = cho_solve(c, _finite(V.T, f"evaluation vectors at |z|={ri}"))
         quad = np.real(np.einsum("ik,ki->i", V.conj(), W))
         if model.pert is not None:
             phi = np.asarray(model.pert.phi(z), dtype=float)

@@ -30,43 +30,29 @@ __all__ = [
     "cpn_fs_oracle",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_PANEL = 0.25
 _AREA_BLOCK = 2048  # nodes per kernel evaluation in kernel_area_integral
 
 
-def _gauss_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and log weights of the composite 32-point Gauss-Legendre rule on
-    [a, b] with equal panels at most _PANEL wide.
+def _log_norms_on(rule, m: int, ks: np.ndarray) -> np.ndarray:
+    """log of 2 pi int e^{2ku - 2 pi m phi} psi dr on a rule (log weights,
+    u, phi, log psi), for every k in ks.
 
-    The monomial integrands are smooth and decay exponentially towards both
-    ends, so one fixed rule converges exponentially for every k at once."""
-    edges = np.linspace(a, b, max(1, math.ceil((b - a) / _PANEL)) + 1)
-    half = 0.5 * np.diff(edges)[:, None]
-    nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL_NODES
-    log_w = np.log(half) + np.log(_GL_WEIGHTS)
-    return nodes.ravel(), log_w.ravel()
-
-
-def _log_norms_on(table: PotentialTable, m: int, ks: np.ndarray,
-                  a: float, b: float) -> np.ndarray:
-    """log of 2 pi int_a^b e^{2ku - 2 pi m phi} lambda du for every k in ks."""
-    u, log_w = _gauss_rule(a, b)
-    lam = np.maximum(table.lam(u), 1e-300)
-    base = (log_w + math.log(2.0 * math.pi)
-            - 2.0 * math.pi * m * table.phi(u) + np.log(lam))
+    The monomial integrands are smooth in r, so one fixed rule converges
+    exponentially for every k at once."""
+    log_w, u, phi, log_psi = rule
+    base = log_w + math.log(2.0 * math.pi) + log_psi - 2.0 * math.pi * m * phi
     return logsumexp(2.0 * ks[:, None] * u + base, axis=1)
 
 
 def log_monomial_norms(table: PotentialTable, m: int, d: int | None = None) -> np.ndarray:
-    """log N_k for k = 0..md, N_k = 2 pi int e^{2ku - 2 pi m phi} lambda du."""
+    """log N_k for k = 0..md, N_k = 2 pi int e^{2ku - 2 pi m phi} psi dr."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if d is None:
         d = table.d
     if d != table.d:
         raise ValueError(f"degree {d} does not match the table's {table.d}")
-    out = _log_norms_on(table, m, np.arange(m * d + 1), table.u_min, table.u_max)
+    out = _log_norms_on(table.nodes, m, np.arange(m * d + 1))
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise ArithmeticError(f"monomial norm k={bad[0]} did not converge")
@@ -77,17 +63,21 @@ def monomial_norms(table: PotentialTable, m: int, d: int | None = None) -> np.nd
     return np.exp(log_monomial_norms(table, m, d))
 
 
+def _log_rho(u, phi, m: int, log_norms: np.ndarray) -> np.ndarray:
+    """log rho_m = log sum_k e^{2ku - 2 pi m phi} / N_k at points (u, phi)."""
+    ks = np.arange(len(log_norms))
+    log_terms = (2.0 * ks[None, :] * u[:, None]
+                 - 2.0 * math.pi * m * phi[:, None]
+                 - log_norms[None, :])
+    return logsumexp(log_terms, axis=1)
+
+
 def rho_at_u(table: PotentialTable, m: int, u, log_norms: np.ndarray | None = None):
     """Kernel rho_m(u) = sum_k e^{2ku - 2 pi m phi(u)} / N_k, in log space."""
     if log_norms is None:
         log_norms = log_monomial_norms(table, m)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    ks = np.arange(len(log_norms))
-    phi = np.asarray(table.phi(u), dtype=float)
-    log_terms = (2.0 * ks[None, :] * u[:, None]
-                 - 2.0 * math.pi * m * phi[:, None]
-                 - log_norms[None, :])
-    return np.exp(logsumexp(log_terms, axis=1))
+    return np.exp(_log_rho(u, np.asarray(table.phi(u), dtype=float), m, log_norms))
 
 
 @dataclass(frozen=True)
@@ -102,23 +92,21 @@ class KernelField:
     inf: float
     sup: float
     argmin_r: float
-    integral: float  # int rho dA on an independent grid
+    integral: float  # int rho dA on an independent rule
 
 
-def kernel_area_integral(table: PotentialTable, m: int, log_norms: np.ndarray,
-                         nodes: int = 20001) -> float:
-    """int rho_m dA = 2 pi int rho(u) lambda(u) du on a fresh uniform grid.
+def kernel_area_integral(table: PotentialTable, m: int, log_norms: np.ndarray) -> float:
+    """int rho_m dA = 2 pi int rho psi dr on the table's half-width rule.
 
     On the nodes of the norm rule the identity int rho dA = md+1 would hold
-    by construction; Simpson's rule on its own grid keeps it a check.  The
-    kernel is evaluated in row blocks so the nodes x (md+1) temporaries stay
+    by construction; the independent rule keeps it a check.  The kernel is
+    evaluated in blocks of nodes so the nodes x (md+1) temporaries stay
     small at large m."""
-    u = np.linspace(table.u_min, table.u_max, nodes)
-    blocks = np.array_split(u, -(-nodes // _AREA_BLOCK))
-    rho = np.concatenate([rho_at_u(table, m, b, log_norms) for b in blocks])
-    lam = table.lam(u)
-    from scipy.integrate import simpson
-    return float(2.0 * math.pi * simpson(rho * lam, x=u))
+    log_w, u, phi, log_psi = table.check_nodes
+    log_rho = np.concatenate([
+        _log_rho(u[i:i + _AREA_BLOCK], phi[i:i + _AREA_BLOCK], m, log_norms)
+        for i in range(0, len(u), _AREA_BLOCK)])
+    return float(2.0 * math.pi * np.sum(np.exp(log_w + log_psi + log_rho)))
 
 
 def rho_revolution(profile: RevolutionProfile, m: int, points=None,
@@ -138,7 +126,7 @@ def rho_revolution(profile: RevolutionProfile, m: int, points=None,
         r = np.asarray(table.r_of_u(u), dtype=float)
     else:
         r = np.asarray(points, dtype=float)
-        u = np.array([table.u_of_r(ri) for ri in r])
+        u = np.asarray(table.u_of_r(r))
     vals = rho_at_u(table, m, u, log_norms)
     lam = np.asarray(table.lam(u), dtype=float)
     # trapezoid area weights in u: dA = 2 pi lambda du
@@ -179,14 +167,8 @@ def peak_section_tail(profile: RevolutionProfile, m: int, center_r: float,
 
     lo_r = max(center_r - radius, 0.0)
     hi_r = min(center_r + radius, profile.length)
-    u_lo = table.u_of_r(lo_r) if lo_r > 0 else None
-    u_hi = table.u_of_r(hi_r) if hi_r < profile.length else None
-
-    bands = []
-    if u_lo is not None and u_lo > table.u_min:
-        bands.append(_log_norms_on(table, m, ks, table.u_min, u_lo))
-    if u_hi is not None and u_hi < table.u_max:
-        bands.append(_log_norms_on(table, m, ks, u_hi, table.u_max))
+    bands = [_log_norms_on(table.band(a, b), m, ks)
+             for a, b in ((0.0, lo_r), (hi_r, profile.length)) if a < b]
     tail = 0.0
     if bands:
         log_out = logsumexp(np.array(bands), axis=0)

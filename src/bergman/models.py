@@ -2,20 +2,18 @@
 oscillating perturbation of the round sphere.
 
 All model objects are immutable after construction and safe to share between
-threads.  Profiles are stored as a callable plus a sampled grid clustered near
-the poles; the grid is what gets exported to CSV.
+threads.  Profiles are a vectorized callable plus the radii of its seams, the
+points where it is only finitely smooth.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "CyclicWeights",
@@ -30,9 +28,6 @@ __all__ = [
     "cone_approx_profile",
     "make_cone_family",
     "rescale_to_area",
-    "profile_from_samples",
-    "profile_to_csv",
-    "profile_from_csv",
 ]
 
 DEFAULT_GRID_NODES = 2048
@@ -135,44 +130,44 @@ def _pole_clustered_grid(length: float, nodes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RevolutionProfile:
-    """Warp factor psi(r) of a metric dr^2 + psi(r)^2 dtheta^2 on S^2."""
+    """Warp factor psi(r) of a metric dr^2 + psi(r)^2 dtheta^2 on S^2.
+
+    ``seams`` lists the radii in (0, length) where psi is only finitely
+    smooth; the potential table puts panel edges there."""
 
     length: float
     psi: object  # callable r -> psi(r), vectorized
     d: int
     cone_slopes: tuple[float, float]
     name: str = "profile"
-    r_grid: np.ndarray = field(default=None, repr=False, compare=False)
-    psi_grid: np.ndarray = field(default=None, repr=False, compare=False)
+    seams: tuple[float, ...] = ()
 
     def __call__(self, r):
         return self.psi(r)
 
     def area(self, rel_tol: float = 1e-12) -> float:
         """Total area 2*pi*int_0^L psi dr."""
-        val, _ = quad(self.psi, 0.0, self.length, epsabs=0.0, epsrel=rel_tol, limit=500)
+        val, _ = quad(self.psi, 0.0, self.length, points=self.seams or None,
+                      epsabs=0.0, epsrel=rel_tol, limit=500)
         return 2.0 * math.pi * val
 
 
-def _finalize_profile(psi, length, d, slopes, name, nodes=DEFAULT_GRID_NODES) -> RevolutionProfile:
-    r = _pole_clustered_grid(length, nodes)
-    vals = np.asarray(psi(r), dtype=float)
-    prof = RevolutionProfile(
-        length=float(length), psi=psi, d=int(d), cone_slopes=(float(slopes[0]), float(slopes[1])),
-        name=name, r_grid=r, psi_grid=vals,
-    )
-    if (vals <= 0.0).any():
+def _finalize_profile(psi, length, d, slopes, name, seams=()) -> RevolutionProfile:
+    if (np.asarray(psi(_pole_clustered_grid(length, DEFAULT_GRID_NODES))) <= 0.0).any():
         raise ValueError(f"profile {name!r}: psi must be positive on the interior")
-    return prof
+    return RevolutionProfile(
+        length=float(length), psi=psi, d=int(d), cone_slopes=(float(slopes[0]), float(slopes[1])),
+        name=name, seams=tuple(float(s) for s in seams),
+    )
 
 
-def round_sphere(d: int = 1, nodes: int = DEFAULT_GRID_NODES) -> RevolutionProfile:
+def round_sphere(d: int = 1) -> RevolutionProfile:
     """Round sphere normalized to area d (degree-d polarization)."""
     if d < 1:
         raise ValueError("degree must be a positive integer")
     radius = math.sqrt(d / (4.0 * math.pi))
     psi = lambda r: radius * np.sin(np.asarray(r) / radius)
-    return _finalize_profile(psi, math.pi * radius, d, (1.0, 1.0), f"round(d={d})", nodes)
+    return _finalize_profile(psi, math.pi * radius, d, (1.0, 1.0), f"round(d={d})")
 
 
 def rescale_to_area(profile: RevolutionProfile, d: int) -> RevolutionProfile:
@@ -189,8 +184,7 @@ def rescale_to_area(profile: RevolutionProfile, d: int) -> RevolutionProfile:
     psi = lambda r: c * base(np.asarray(r) / c)
     return _finalize_profile(
         psi, c * profile.length, d, profile.cone_slopes,
-        profile.name + f"->area{d}",
-        nodes=len(profile.r_grid) if profile.r_grid is not None else DEFAULT_GRID_NODES,
+        profile.name + f"->area{d}", seams=[c * s for s in profile.seams],
     )
 
 
@@ -254,6 +248,7 @@ def _smoothed_fk_callable(k: int):
     window; the resulting value offset (the Hermite misses the exact increment
     of f) is carried as a constant shift and removed by a C^2 smoothstep on
     the last branch, where -psi''/psi is largest and absorbs it harmlessly.
+    Returns psi, the first window's half-width and the seams x0..x4.
     """
     a = f_k_alpha(k)
     w1 = 0.25 * a  # keeps r < alpha_k/2 untouched and sin(w1)/3 >= ~2 kappa psi
@@ -290,23 +285,23 @@ def _smoothed_fk_callable(k: int):
             out = np.where(fade, out + d2 * (1.0 - _smoothstep_c2((rr - x3) / (x4 - x3))), out)
         return out if out.shape else float(out)
 
-    return psi, w1
+    return psi, w1, (x0, x1, x2, x3, x4)
 
 
-def cone_approx_profile(k: int, nodes: int = DEFAULT_GRID_NODES) -> RevolutionProfile:
+def cone_approx_profile(k: int) -> RevolutionProfile:
     """Smoothed f_k profile (cone of angle 2*pi/3 at the r=0 pole as k grows)."""
-    psi, _ = _smoothed_fk_callable(k)
+    psi, _, seams = _smoothed_fk_callable(k)
     end = f_k_domain_end(k)
-    return _finalize_profile(psi, end, 1, (1.0, 1.0), f"cone(k={k})", nodes)
+    return _finalize_profile(psi, end, 1, (1.0, 1.0), f"cone(k={k})", seams)
 
 
 def make_cone_family(k: int, kappa: float = 0.05, nodes: int = DEFAULT_GRID_NODES) -> ConeApproxFamily:
     """Build the smoothed family member and verify -psi'' >= kappa*psi on the grid."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    prof = cone_approx_profile(k, nodes)
-    psi, w = _smoothed_fk_callable(k)
-    # second-difference check on a uniform grid (the profile grid is non-uniform)
+    prof = cone_approx_profile(k)
+    psi, w, _ = _smoothed_fk_callable(k)
+    # second-difference check on a uniform grid
     r = np.linspace(0.0, prof.length, 4 * nodes + 1)[1:-1]
     h = r[1] - r[0]
     vals = np.asarray(psi(r))
@@ -379,60 +374,3 @@ class PerturbedPotential:
             lap_eta = d2 + np.where(rho > 0, d1 / np.maximum(rho, 1e-300), 0.0)
         grad_dot = Ax * d1 * nx + Ay * d1 * ny
         return lapA * eta + 2.0 * grad_dot + A * lap_eta
-
-
-# ---------------------------------------------------------------------------
-# CSV import/export of profiles
-# ---------------------------------------------------------------------------
-
-def profile_from_samples(r: np.ndarray, psi: np.ndarray, d: int = 1, name: str = "sampled") -> RevolutionProfile:
-    """Profile from a sampled (r, psi) table using monotone cubic interpolation."""
-    r = np.asarray(r, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    if r.ndim != 1 or r.shape != psi.shape or len(r) < 4:
-        raise ValueError("need matching 1-d arrays with at least 4 samples")
-    if not np.all(np.diff(r) > 0):
-        raise ValueError("r samples must be strictly increasing")
-    interp = PchipInterpolator(r, psi, extrapolate=False)
-    length = float(r[-1])
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        v = interp(np.clip(x, r[0], r[-1]))
-        return np.nan_to_num(v, nan=0.0)
-
-    slope_l = psi[1] / r[1] if r[0] == 0.0 else psi[0] / r[0]
-    slope_r = psi[-2] / (length - r[-2]) if psi[-1] == 0.0 else psi[-1] / (length - r[-1] + 1e-300)
-    grid = r[(r > 0) & (r < length)]
-    return RevolutionProfile(length=length, psi=fn, d=int(d),
-                             cone_slopes=(float(slope_l), float(slope_r)), name=name,
-                             r_grid=grid, psi_grid=fn(grid))
-
-
-def profile_to_csv(profile: RevolutionProfile, path_or_buf) -> None:
-    """Write the sampled grid as CSV with header ``r,psi``."""
-    rows = ["r,psi"]
-    r = np.concatenate([[0.0], profile.r_grid, [profile.length]])
-    v = np.concatenate([[0.0], profile.psi_grid, [0.0]])
-    for ri, vi in zip(r, v):
-        rows.append(f"{float(ri)!r},{float(vi)!r}")
-    text = "\n".join(rows) + "\n"
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(text)
-    else:
-        with open(path_or_buf, "w") as fh:
-            fh.write(text)
-
-
-def profile_from_csv(path_or_buf, d: int = 1, name: str = "csv") -> RevolutionProfile:
-    if hasattr(path_or_buf, "read"):
-        text = path_or_buf.read()
-    else:
-        with open(path_or_buf) as fh:
-            text = fh.read()
-    buf = io.StringIO(text)
-    header = buf.readline().strip()
-    if header != "r,psi":
-        raise ValueError(f"expected header 'r,psi', got {header!r}")
-    data = np.loadtxt(buf, delimiter=",")
-    return profile_from_samples(data[:, 0], data[:, 1], d=d, name=name)

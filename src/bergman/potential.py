@@ -1,16 +1,13 @@
-"""Reduction of a revolution metric to conformal coordinates.
+"""Conformal coordinates and Kahler potential of a revolution metric.
 
-A warped product dr^2 + psi^2 dtheta^2 becomes e^{2 sigma}(du^2 + dtheta^2)
-under u(r) = int dr/psi measured from the area-median radius.  The Kahler
-potential phi solves phi'' = 2 lambda with lambda(u) = psi(r(u))^2, gauged by
-phi'(-inf) = 0 and phi(0) = 0, so that exactly the monomials z^0..z^{md} are
-square-integrable for a degree-d profile.
-
-Everything is driven by one stiff-free ODE solve per side of the area-median
-radius (state r, I = int lambda, J = int I); the stacked DOP853 segments of
-both serve as one interpolant, evaluated bit for bit as scipy would.  This
-keeps phi accurate to ~1e-13, so that 2 pi m phi, and with it log N_k, stays
-within 1e-10 up to m = 400.
+Under du = dr/psi, dr^2 + psi^2 dtheta^2 on [0, L] x S^1 is conformal to
+du^2 + dtheta^2, and the potential has phi' = 2a with a(r) = int_0^r psi (the
+gauge phi'(-inf) = 0, under which exactly z^0..z^{md} are square-integrable).
+a, u and phi = int 2a/psi dr are quadratures in r on 32-point Gauss-Legendre
+panels, edges at the seams and graded toward both poles, by one spectral
+integration matrix once their logarithms at the poles are taken out; u and
+phi vanish at the area-median radius.  Panels of half the width give an
+independent rule: the error estimate, and the nodes of the area check.
 """
 
 from __future__ import annotations
@@ -19,139 +16,179 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
+from numpy.polynomial import legendre as leg
+from scipy.integrate import quad
 
 from .models import RevolutionProfile
 
 __all__ = ["PotentialTable", "build_potential"]
 
-# depth of the conformal grid per side is set by the 1e-18 relative truncation
-# of the monomial integrands; their pole decay rate is twice the pole slope
+# sample window in u of the kernel fields: the depth per side at which a
+# monomial integrand decaying at twice the pole slope has dropped by 1e-18
 _TRUNC_LOG = 18.0 * math.log(10.0)
 _MARGIN = 6.0
-_RTOL = 1e-13  # DOP853 tolerance; phi drifts ~rtol per unit u, times 2 pi m
+_PANEL = 1.0 / 32.0  # widest panel; the monomial peaks are 1/sqrt(4 pi m) wide in r
+_GRADES = 14  # panels halve toward each pole from L/2 this many times
+
+_X, _W = leg.leggauss(32)
+_CHEB = np.cos(np.pi * np.arange(33) / 32.0)  # barycentric interpolation points
+_BARY = (-1.0) ** np.arange(33) * np.r_[0.5, np.ones(31), 0.5]
+_SERIES = (leg.legvander(_X, 31) * _W[:, None]).T * (np.arange(32) + 0.5)[:, None]
+_INT = leg.legint(_SERIES, lbnd=-1)  # node values -> series of int_{-1}^x
+_SPECTRAL, _INT_AT_CHEB = leg.legvander(_X, 32) @ _INT, leg.legvander(_CHEB, 32) @ _INT
+
+
+def _nodes(edges):
+    half = 0.5 * np.diff(edges)
+    return half, edges[:-1] + half * (1.0 + _X[:, None])
+
+
+def _cumulative(f, half):
+    """Running integral of f (one column per panel) at the nodes, and at the
+    interpolation points with one row per panel."""
+    # the running sum in extended precision: its rounding would shift u by
+    # about 1e-15 across the panels, and log N_k by 2k times that
+    start = np.r_[0.0, np.cumsum(half * (_W @ f), dtype=np.longdouble)[:-1]].astype(float)
+    return start + half * (_SPECTRAL @ f), (start + half * (_INT_AT_CHEB @ f)).T
+
+
+def _interp(edges, v, r):
+    """The per-panel polynomials v (k, P, 33) at radii r, shape (k, N)."""
+    p = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
+    d = np.clip((2.0 * r - edges[p] - edges[p + 1]) / (edges[p + 1] - edges[p]), -1.0, 1.0)
+    d = d[:, None] - _CHEB
+    k = _BARY / np.where(d == 0.0, 1.0, d)
+    k = np.where((d == 0.0).any(axis=1, keepdims=True), d == 0.0, k)
+    return np.einsum("nj,knj->kn", k, v[:, p]) / k.sum(axis=1)
+
+
+def _logs(r, q, slopes, a_L):
+    """The singular parts of u and phi at radii r, q = L - r."""
+    with np.errstate(divide="ignore"):
+        return np.array([np.log(r) / slopes[0] - np.log(q) / slopes[1],
+                         -2.0 * a_L / slopes[1] * np.log(q)])
+
+
+def _integrate(profile, edges, psi):
+    """psi, a and u, phi less their logarithms at the interpolation points,
+    the area-median radius and the rule, on edges with psi at the nodes."""
+    L, (s_l, s_r) = profile.length, profile.cone_slopes
+    half, r = _nodes(edges)
+    a, v_a = _cumulative(psi, half)
+    a_L = v_a[-1, 0]
+    u, v_u = _cumulative(1.0 / psi - 1.0 / (s_l * r) - 1.0 / (s_r * (L - r)), half)
+    phi, v_phi = _cumulative(2.0 * a / psi - 2.0 * a_L / (s_r * (L - r)), half)
+    v = np.array([(leg.legvander(_CHEB, 31) @ _SERIES @ psi).T, v_a, v_u, v_phi])
+    r0 = np.interp([0.5 * a_L], a.T.ravel(), r.T.ravel())
+    for _ in range(8):  # gauge: Newton on a(r0) = a(L)/2
+        psi0, a0, _, _ = _interp(edges, v, r0)
+        r0 = r0 - (a0 - 0.5 * a_L) / psi0
+    gauge = _interp(edges, v, r0)[2:] + _logs(r0, L - r0, (s_l, s_r), a_L)
+    v[2:] -= gauge[:, :, None]
+    u, phi = np.array([u, phi]) + _logs(r, L - r, (s_l, s_r), a_L) - gauge[:, :, None]
+    flat = lambda x: np.broadcast_to(x, r.shape).T.ravel()
+    return v, float(r0[0]), tuple(flat(x) for x in (np.log(half * _W[:, None]), u, phi, np.log(psi)))
 
 
 @dataclass(frozen=True)
 class PotentialTable:
-    """Conformal-coordinate data of a polarized revolution profile."""
+    """Conformal-coordinate data of a polarized revolution profile.
+
+    ``nodes`` and ``check_nodes`` are (log weights, u, phi, log psi) on the
+    norm rule and the half-width rule; ``error`` is their largest difference
+    in a, u and phi at the inner panel edges.  u is clipped to [u_min, u_max]."""
 
     profile: RevolutionProfile = field(repr=False)
     d: int
     u_min: float
     u_max: float
     r_equator: float
-    # DOP853 segments of both solves, ascending in u: breaks, t_old, h, y_old, F
-    _dense: tuple = field(repr=False, compare=False)
-    _K: float = field(repr=False)  # phi'(u) = 2 I(u) + K
+    error: float
+    nodes: tuple = field(repr=False, compare=False)
+    check_nodes: tuple = field(repr=False, compare=False)
+    _edges: np.ndarray = field(repr=False, compare=False)
+    _v: np.ndarray = field(repr=False, compare=False)
 
-    def _state(self, u):
-        """(r, I, J) at u, from the dense ODE output."""
-        breaks, t_old, h, y_old, F = self._dense
-        t = np.clip(np.asarray(u, dtype=float).ravel(), self.u_min, self.u_max)
-        # at a breakpoint take the segment nearer u = 0, as OdeSolution does
-        i = np.searchsorted(breaks[1:-1], np.where(t < 0, np.nextafter(t, 0.0), t))
-        x = ((t - t_old[i]) / h[i])[:, None]
-        F = F[i]
-        y = np.zeros((t.size, 3))
-        for k in range(6, -1, -1):  # Dop853DenseOutput._call_impl, same order
-            y += F[:, k]
-            y *= x if k % 2 == 0 else 1 - x
-        y += y_old[i]
-        return y.T.reshape((3,) + np.shape(u))
+    def _state(self, r, q):
+        """u, phi, psi and a at radii r, with q = L - r."""
+        psi, a, u, phi = _interp(self._edges, self._v, r)
+        u, phi = _logs(r, q, self.profile.cone_slopes, self._v[1, -1, 0]) + [u, phi]
+        return u, phi, psi, a
+
+    def _locate(self, u):
+        """r, phi, psi and a where u takes the given values: Newton in
+        w = log(r/(L-r)) on the panel polynomials, du/dr = 1/psi."""
+        u = np.clip(np.asarray(u, dtype=float), self.u_min, self.u_max)
+        flat, L = u.ravel(), self.profile.length
+        r = _nodes(self._edges)[1].T.ravel()
+        w = np.interp(flat, self.nodes[1], np.log(r / (L - r)))
+        for _ in range(30):
+            r, q = L / (1.0 + np.exp(-w)), L / (1.0 + np.exp(w))
+            u_w, phi, psi, a = self._state(r, q)
+            if not (np.abs(u_w - flat) > 8e-16 * (1.0 + np.abs(flat) + np.abs(w))).any():
+                return [x.reshape(u.shape) for x in (r, phi, psi, a)]
+            w = w - (u_w - flat) * psi * L / (r * q)
+        raise ArithmeticError("u -> r inversion did not converge")
 
     def r_of_u(self, u):
-        return self._state(u)[0]
+        return self._locate(u)[0]
 
     def u_of_r(self, r):
-        """Invert the monotone map r(u) by bisection."""
-        r = float(r)
-        if r <= 0.0:
-            return self.u_min
-        if r >= self.profile.length:
-            return self.u_max
-        f = lambda u: float(self.r_of_u(u)) - r
-        if f(self.u_min) >= 0.0:
-            return self.u_min
-        if f(self.u_max) <= 0.0:
-            return self.u_max
-        return brentq(f, self.u_min, self.u_max, xtol=1e-14, rtol=1e-15)
+        """u at radii r, clipped to the sample window."""
+        r = np.clip(np.asarray(r, dtype=float), 0.0, self.profile.length)
+        u = self._state(r.ravel(), self.profile.length - r.ravel())[0]
+        return np.clip(u, self.u_min, self.u_max).reshape(r.shape)
 
     def lam(self, u):
         """Conformal factor psi(r(u))^2."""
-        r = self.r_of_u(u)
-        return np.asarray(self.profile.psi(r), dtype=float) ** 2
+        return self._locate(u)[2] ** 2
 
     def phi_prime(self, u):
-        return 2.0 * self._state(u)[1] + self._K
+        return 2.0 * self._locate(u)[3]
 
     def phi(self, u):
-        st = self._state(u)
-        return 2.0 * st[2] + self._K * np.asarray(u, dtype=float).clip(self.u_min, self.u_max)
+        return self._locate(u)[1]
+
+    def band(self, lo: float, hi: float) -> tuple:
+        """The norm rule on lo <= r <= hi, with fresh nodes on cut panels."""
+        half, r = _nodes(np.clip(self._edges, lo, hi))
+        r = r[:, half > 0.0].T.ravel()
+        u, phi, psi, _ = self._state(r, self.profile.length - r)
+        return np.log(half[half > 0.0, None] * _W).ravel(), u, phi, np.log(psi)
 
 
 def build_potential(profile: RevolutionProfile) -> PotentialTable:
     """Integrate the chart reduction of a profile to a PotentialTable.
 
-    The grid depth per side follows the pole slopes so that every monomial
-    integrand has dropped to 1e-18 of its peak inside the covered range.
-    """
-    L = profile.length
+    The area is checked against the degree by adaptive quadrature first;
+    the panel rule's a(L) must then agree with that same quadrature."""
+    L, d = profile.length, profile.d
     if L <= 0:
         raise ValueError("profile has no positive part")
-    integral = lambda a, b: quad(profile.psi, a, b, epsabs=0.0, epsrel=1e-12, limit=500)[0]
-    r0, cum = 0.5 * L, integral(0.0, 0.5 * L)
-    half = 0.5 * (cum + integral(r0, L))  # int psi over half the area
-    d = profile.d
-    if abs(4.0 * math.pi * half - d) > 1e-8 * max(d, 1):
-        raise ValueError(f"profile area {4.0 * math.pi * half} is not the "
+    seams = [s for s in profile.seams if 0.0 < s < L]
+    area = quad(profile.psi, 0.0, L, points=seams or None, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+    if abs(2.0 * math.pi * area - d) > 1e-8 * max(d, 1):
+        raise ValueError(f"profile area {2.0 * math.pi * area} is not the "
                          f"integer degree {d}; rescale first")
 
-    # area-median radius: bracketed Newton on int_0^r psi = half, from L/2
-    lo, hi = 0.0, L
-    for _ in range(100):
-        lo, hi = (r0, hi) if cum < half else (lo, r0)
-        r1 = r0 - (cum - half) / float(profile.psi(r0))
-        r1 = r1 if lo <= r1 <= hi else 0.5 * (lo + hi)
-        cum += integral(r0, r1)
-        r0, step = r1, r1 - r0
-        if abs(step) <= 1e-15 * L:
-            break
-    else:
-        raise RuntimeError("area-median radius search did not converge")
-
-    slope_l, slope_r = profile.cone_slopes
-    u_min = -(_TRUNC_LOG / (2.0 * slope_l) + _MARGIN)
-    u_max = +(_TRUNC_LOG / (2.0 * slope_r) + _MARGIN)
-
-    def rhs(u, y):
-        r = min(max(y[0], 0.0), L)
-        ps = float(profile.psi(r))
-        return (ps, ps * ps, y[1])
-
-    kw = dict(method="DOP853", rtol=_RTOL, atol=1e-16, dense_output=True)
-    sol_neg = solve_ivp(rhs, (0.0, u_min), (r0, 0.0, 0.0), **kw)
-    sol_pos = solve_ivp(rhs, (0.0, u_max), (r0, 0.0, 0.0), **kw)
-    if not (sol_neg.success and sol_pos.success):
-        raise RuntimeError("conformal-coordinate integration failed")
-
-    # gauge: phi'(-inf) = 0, including the analytic tail below u_min where
-    # lambda decays like e^{2*slope_l*u}
-    r_end, i_end, _ = sol_neg.y[:, -1]
-    lam_end = float(profile.psi(r_end)) ** 2
-    tail = lam_end / (2.0 * slope_l)
-    K = -2.0 * i_end + 2.0 * tail
-
-    segs = sol_neg.sol.interpolants[::-1] + sol_pos.sol.interpolants
-    dense = [np.array([getattr(s, a) for s in segs]) for a in ("t_old", "h", "y_old", "F")]
-    table = PotentialTable(
-        profile=profile, d=d, u_min=float(u_min), u_max=float(u_max), r_equator=float(r0),
-        _dense=(np.concatenate([sol_neg.t[::-1], sol_pos.t[1:]]), *dense), _K=float(K),
-    )
-    # degree bookkeeping: phi'(+inf) - phi'(-inf) = d/pi
-    dphi = float(table.phi_prime(u_max) - table.phi_prime(u_min))
-    if abs(dphi - d / math.pi) > 1e-8:
-        raise RuntimeError(
-            f"degree bookkeeping failed: phi' span {dphi} vs {d / math.pi}")
-    return table
+    # edges at the poles, the seams and L/2 halved toward both poles; panels
+    # wider than _PANEL are split evenly
+    grades = 0.5 * L * 0.5 ** np.arange(_GRADES)
+    e = np.unique(np.concatenate([[0.0, L], grades, L - grades, seams]))
+    n = np.ceil(np.diff(e) / _PANEL).astype(int)
+    edges = np.append(np.concatenate(
+        [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(e[:-1], e[1:], n)]), L)
+    halves = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    r = [_nodes(x)[1] for x in (edges, halves)]
+    psi = np.asarray(profile.psi(np.concatenate([x.ravel() for x in r])), dtype=float)
+    (v, r0, rule), (v_check, _, check) = (
+        _integrate(profile, x, p.reshape(y.shape))
+        for x, p, y in zip((edges, halves), np.split(psi, [r[0].size]), r))
+    if not abs(v[1, -1, 0] - area) <= 5e-9:  # phi'(+inf) - phi'(-inf) = 2 a(L) = d/pi
+        raise RuntimeError(f"degree bookkeeping failed: phi' span {2.0 * v[1, -1, 0]} "
+                           f"vs {2.0 * area} by adaptive quadrature")
+    return PotentialTable(
+        profile=profile, d=d, u_min=-(_TRUNC_LOG / (2.0 * profile.cone_slopes[0]) + _MARGIN),
+        u_max=_TRUNC_LOG / (2.0 * profile.cone_slopes[1]) + _MARGIN, r_equator=r0,
+        error=float(np.max(np.abs(v[1:, 1:, -1] - v_check[1:, 2::2, -1]))),
+        nodes=rule, check_nodes=check, _edges=edges, _v=v)

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bergman
+from bergman import cli
 from bergman.cli import RunConfig, parse_config, run
+from bergman.models import PerturbedPotential
 
 
 def read(path):
@@ -29,9 +32,22 @@ class TestExitCodes:
     def test_wrong_point_length_is_2(self):
         assert run(["orbifold-eval", "--weights", "1/3,1/5", "--z", "1.0"]) == 2
 
-    def test_unwritable_output_is_1(self):
+    def test_unwritable_output_is_2(self, monkeypatch):
+        ran = []
+        monkeypatch.setitem(cli._DISPATCH, "cpn", ran.append)
         assert run(["cpn", "--n", "1", "--m", "3",
-                    "--out", "/nonexistent/dir/x.csv"]) == 1
+                    "--out", "/nonexistent/dir/x.csv"]) == 2
+        assert ran == []
+
+    def test_nan_in_gram_is_1(self, monkeypatch):
+        monkeypatch.setattr(PerturbedPotential, "phi", lambda self, z: np.full(np.shape(z), np.nan))
+        assert run(["gram", "--m", "4", "--pert", "6"]) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_large_m_is_not_bad_input(self, capsys):
+        assert run(["lp", "--m", "200", "--pert", "6"]) != 2
+        assert run(["gram", "--m", "200", "--z", "50"]) != 2
+        capsys.readouterr()
 
     def test_no_command_is_2(self, capsys):
         assert run([]) == 2
@@ -109,6 +125,14 @@ class TestOutputFormat:
         la = [ln for ln in read(a).splitlines() if not ln.startswith("# config")]
         lb = [ln for ln in read(b).splitlines() if not ln.startswith("# config")]
         assert la == lb
+
+    def test_revolution_health_header(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run(["revolution", "--m", "9", "--grid", "16", "--out", str(out)]) == 0
+        health = [ln for ln in read(out).splitlines() if ln.startswith("# health: ")]
+        fields = dict(f.split("=") for f in health[0].removeprefix("# health: ").split())
+        assert abs(float(fields["residual"])) < 1e-9
+        assert 0.0 < float(fields["table_error"]) < 1e-10
 
     def test_cone_sweep_csv(self, tmp_path):
         out = tmp_path / "s.csv"

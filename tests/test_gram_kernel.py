@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.special import gammaln
 
 from bergman import gram, potential
@@ -28,6 +28,7 @@ from bergman.kernels import (
 )
 from bergman.models import (
     PerturbedPotential,
+    RevolutionProfile,
     cone_approx_profile,
     make_cone_family,
     rescale_to_area,
@@ -36,6 +37,37 @@ from bergman.models import (
 from bergman.potential import build_potential
 
 R_UNIT = 1.0 / math.sqrt(4.0 * math.pi)  # round area-1 sphere radius
+
+
+def _quad(f, a, b, seams):
+    """Adaptive quadrature split at the seams between a and b."""
+    pts = [s for s in seams if min(a, b) < s < max(a, b)]
+    return quad(f, a, b, points=pts or None, limit=400, epsabs=0.0, epsrel=2e-14)[0]
+
+
+def _nested_state(prof, r0, radii):
+    """(u, phi) at radii, gauged to vanish at r0, by nested adaptive
+    quadrature of the profile alone: a(s) = int_0^s psi inside
+    phi = int 2a/psi.  The logarithms at the poles are subtracted first."""
+    L, psi, seams = prof.length, prof.psi, prof.seams
+    s_l, s_r = prof.cone_slopes
+    a_L = _quad(psi, 0.0, L, seams)
+    starts = np.unique([*np.linspace(0.0, L, 33)[:-1], *seams])
+    a_start = np.cumsum([0.0, *(_quad(psi, x, y, ()) for x, y in zip(starts[:-1], starts[1:]))])
+
+    def a(s):  # from the last start below s: one short smooth piece per inner quad
+        i = np.searchsorted(starts, s) - 1
+        return a_start[i] + _quad(psi, starts[i], s, ())
+
+    out = []
+    for r in radii:
+        log_r, log_q = math.log(r / r0), math.log((L - r) / (L - r0))
+        u = log_r / s_l - log_q / s_r + _quad(
+            lambda x: 1.0 / psi(x) - 1.0 / (s_l * x) - 1.0 / (s_r * (L - x)), r0, r, seams)
+        phi = -2.0 * a_L / s_r * log_q + _quad(
+            lambda x: 2.0 * a(x) / psi(x) - 2.0 * a_L / (s_r * (L - x)), r0, r, seams)
+        out.append((u, phi))
+    return np.array(out)
 
 
 @pytest.fixture(scope="module")
@@ -83,39 +115,10 @@ class TestPotential:
             build_potential(prof)
 
     def test_area_check_precedes_ode(self, monkeypatch):
-        monkeypatch.setattr(potential, "solve_ivp", None)
+        # the panel rule took the place of the ODE solve
+        monkeypatch.setattr(potential, "_integrate", None)
         with pytest.raises(ValueError, match="rescale first"):
             build_potential(make_cone_family(5).profile)
-
-    def test_dense_output_matches_scipy(self, monkeypatch):
-        # the stacked evaluator reproduces scipy's OdeSolution of the same
-        # two solves bit for bit, at breakpoints and outside the range too
-        sols = []
-
-        def recording_solve(*args, **kwargs):
-            sol = solve_ivp(*args, **kwargs)
-            # a jump at every breakpoint makes the choice of segment visible
-            for n, seg in enumerate(sol.sol.interpolants):
-                seg.y_old = seg.y_old + 1e-12 * (n + 1) * (len(sols) + 1)
-            sols.append(sol)
-            return sol
-
-        monkeypatch.setattr(potential, "solve_ivp", recording_solve)
-        t = build_potential(rescale_to_area(make_cone_family(10).profile, 1))
-        neg, pos = (s.sol for s in sols)
-        rng = np.random.default_rng(3)
-        u = np.concatenate([rng.uniform(t.u_min, t.u_max, 400), neg.ts, pos.ts,
-                            [0.0, -0.0, t.u_min - 1.0, t.u_max + 1.0, -1e300, 1e300, np.nan]])
-        c = np.clip(u, t.u_min, t.u_max)
-        ref = np.empty((3, u.size))
-        ref[:, c <= 0] = neg(c[c <= 0])
-        ref[:, ~(c <= 0)] = pos(c[~(c <= 0)])
-        assert np.array_equal(t._state(u), ref, equal_nan=True)
-        for v, want in zip(c, ref.T):
-            got = t._state(v)
-            assert got.shape == (3,)
-            assert np.array_equal(got, want, equal_nan=True)
-            assert np.array_equal(got, (neg if v <= 0 else pos)(v), equal_nan=True)
 
     @pytest.mark.parametrize("k", [None, 10, 40])
     def test_equator_halves_area(self, k):
@@ -136,6 +139,22 @@ class TestPotential:
 
         build_potential(dataclasses.replace(prof, psi=counting_psi))
         assert calls <= 6000
+
+    def test_round_r_of_u_closed_form(self, round_table):
+        # r(u) = 2R atan(e^u) on the round sphere, over the whole sample window
+        t = round_table
+        u = np.linspace(t.u_min, t.u_max, 2001)
+        exact = 2.0 * R_UNIT * np.arctan(np.exp(u))
+        assert np.max(np.abs(t.r_of_u(u) / exact - 1.0)) < 1e-13
+
+    def test_unseamed_kink_fails_bookkeeping(self):
+        # a corner off every panel edge: the area quadrature adapts to it,
+        # the panel rule cannot, and the mismatch must not pass silently
+        apex = 1.0 / math.pi  # area 2 pi int psi = pi * apex = 1
+        psi = lambda r: np.where(np.asarray(r) < apex, r, apex * (1.0 - np.asarray(r)) / (1.0 - apex))
+        prof = RevolutionProfile(length=1.0, psi=psi, d=1, cone_slopes=(1.0, apex / (1.0 - apex)))
+        with pytest.raises(RuntimeError, match="degree bookkeeping failed"):
+            build_potential(prof)
 
 
 class TestMonomialNorms:
@@ -160,6 +179,39 @@ class TestMonomialNorms:
                           t.u_min, t.u_max, limit=400, epsabs=0.0, epsrel=1e-13)
             ref = math.log(2.0 * math.pi) + shift + math.log(val)
             assert abs(logN[k] - ref) < 1e-10
+
+    def test_round_sphere_closed_form_m400(self, round_table):
+        m = 400
+        k = np.arange(m + 1)
+        exact = (math.log(2 * math.pi * R_UNIT**2) + (m + 1) * math.log(2)
+                 + gammaln(k + 1) + gammaln(m - k + 1) - gammaln(m + 2))
+        assert np.max(np.abs(log_monomial_norms(round_table, m) - exact)) < 1e-12
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("k", [10, 40, 300, 1000])
+    def test_cone_matches_nested_quad(self, k):
+        # the table's u and phi against nested adaptive quadrature of the
+        # profile, then log N_k against adaptive quadrature in r on that
+        # state; together they bound log N_k by 2k|du| + 2 pi m|dphi| + 1e-12
+        prof = rescale_to_area(make_cone_family(k).profile, 1)
+        t = build_potential(prof)
+        L, seams = prof.length, prof.seams
+        radii = np.array([2.0 * seams[1], L - 0.01])
+        ref = _nested_state(prof, t.r_equator, radii)
+        u = t.u_of_r(radii)
+        assert np.all(np.abs(u - ref[:, 0]) <= 1e-14 * np.maximum(1.0, np.abs(ref[:, 0])))
+        assert np.all(np.abs(t.phi(u) - ref[:, 1]) <= 1e-14)
+
+        m = 100
+        logN = log_monomial_norms(t, m)
+        grid = np.linspace(0.0, L, 2001)[1:-1]
+        for j in (0, 50, 100):
+            def log_f(r):
+                u = t.u_of_r(r)
+                return 2.0 * j * u - 2.0 * math.pi * m * t.phi(u) + np.log(prof.psi(r))
+            shift = float(np.max(log_f(grid)))
+            val = _quad(lambda r: math.exp(float(log_f(r)) - shift), 0.0, L, seams)
+            assert abs(logN[j] - (math.log(2.0 * math.pi) + shift + math.log(val))) < 1e-12
 
     def test_antipodal_symmetry(self, round_table):
         m = 12

@@ -11,9 +11,6 @@ from bergman.models import (
     f_k_domain_end,
     make_cone_family,
     make_cyclic_weights,
-    profile_from_csv,
-    profile_from_samples,
-    profile_to_csv,
     rescale_to_area,
     round_sphere,
 )
@@ -166,17 +163,3 @@ class TestPerturbedPotential:
             fd = (pert.phi(z + h) + pert.phi(z - h) + pert.phi(z + 1j * h)
                   + pert.phi(z - 1j * h) - 4 * pert.phi(z)) / h**2
             assert abs(fd - pert.laplacian_phi(z)) < 1e-4
-
-
-class TestProfileCsv:
-    def test_round_trip(self, tmp_path):
-        p = round_sphere()
-        path = tmp_path / "prof.csv"
-        profile_to_csv(p, path)
-        q = profile_from_csv(path)
-        rs = np.linspace(0.05, p.length - 0.05, 50)
-        assert np.max(np.abs(q.psi(rs) - p.psi(rs))) < 1e-6
-
-    def test_from_samples_validation(self):
-        with pytest.raises(ValueError):
-            profile_from_samples(np.array([0.0, 1.0, 0.5, 2.0]), np.ones(4))
