@@ -24,7 +24,7 @@ from .analysis import (
     lp_deviation,
     tyz_a1_estimate,
 )
-from .gram import GramModel, gram_matrix, rho_gram, rho_gram_field
+from .gram import GramModel, gram_matrix, rho_gram, rho_gram_field, scaled_gram
 from .kernels import cpn_fs_exact, cpn_fs_oracle, rho_revolution
 from .models import (
     PerturbedPotential,
@@ -182,6 +182,12 @@ def _cmd_revolution(p):
     return 0
 
 
+def _scaled_cond(G):
+    """Health line of the Gram path: the condition of the matrix it factors."""
+    lam = np.linalg.eigvalsh(scaled_gram(G))
+    return f"health: scaled_cond={float(lam[-1] / lam[0])!r}"
+
+
 def _cmd_gram(p):
     m = int(p["m"])
     pk = int(p.get("pert", 0))
@@ -190,8 +196,9 @@ def _cmd_gram(p):
     G = gram_matrix(model)
     cond = float(np.linalg.cond(G))
     zs = _parse_complexes(p.get("z", "0"))
-    rows = ["z,rho"] + [f"{z!r},{rho_gram(G, model, z)!r}" for z in zs]
-    lines = _header("gram", p) + [f"condition_number: {cond!r}"]
+    rhos = rho_gram(G, model, np.array(zs))
+    rows = ["z,rho"] + [f"{z!r},{float(rho)!r}" for z, rho in zip(zs, rhos)]
+    lines = _header("gram", p) + [f"condition_number: {cond!r}", _scaled_cond(G)]
     _emit(lines, rows, p.get("out"))
     if p.get("dump_gram"):
         grows = ["i,j,re,im"]
@@ -236,8 +243,11 @@ def _cmd_lp(p):
     pk = int(p.get("pert", 0))
     lines = _header("lp", p)
     if pk:
-        fld = rho_gram_field(GramModel(m, PerturbedPotential(pk)))
+        model = GramModel(m, PerturbedPotential(pk))
+        G = gram_matrix(model)
+        fld = rho_gram_field(model, G)
         n = 1
+        lines.append(f"{_scaled_cond(G)} residual={fld.integral - (m + 1)!r}")
     else:
         prof = _profile_from_params(p.get("profile", "round"), int(p.get("d", 1)), p.get("k"))
         table = build_potential(prof)

@@ -123,16 +123,16 @@ def rho_revolution(profile: RevolutionProfile, m: int, points=None,
     log_norms = log_monomial_norms(table, m)
     if points is None:
         u = np.linspace(table.u_min, table.u_max, n_samples)
-        r = np.asarray(table.r_of_u(u), dtype=float)
     else:
+        u = np.asarray(table.u_of_r(np.asarray(points, dtype=float)))
+    r, phi, psi, _ = table.locate(u)  # one u -> r inversion for r, phi and lambda
+    if points is not None:
         r = np.asarray(points, dtype=float)
-        u = np.asarray(table.u_of_r(r))
-    vals = rho_at_u(table, m, u, log_norms)
-    lam = np.asarray(table.lam(u), dtype=float)
-    # trapezoid area weights in u: dA = 2 pi lambda du
+    vals = np.exp(_log_rho(u, phi, m, log_norms))
+    # trapezoid area weights in u: dA = 2 pi lambda du, lambda = psi^2
     if len(u) > 1 and np.all(np.diff(u) > 0):
         du = np.gradient(u)
-        weights = 2.0 * math.pi * lam * du
+        weights = 2.0 * math.pi * psi ** 2 * du
     else:
         weights = np.zeros_like(u)
     i_min = int(np.argmin(vals))

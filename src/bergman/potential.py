@@ -115,7 +115,7 @@ class PotentialTable:
         u, phi = _logs(r, q, self.profile.cone_slopes, self._v[1, -1, 0]) + [u, phi]
         return u, phi, psi, a
 
-    def _locate(self, u):
+    def locate(self, u):
         """r, phi, psi and a where u takes the given values: Newton in
         w = log(r/(L-r)) on the panel polynomials, du/dr = 1/psi."""
         u = np.clip(np.asarray(u, dtype=float), self.u_min, self.u_max)
@@ -131,7 +131,7 @@ class PotentialTable:
         raise ArithmeticError("u -> r inversion did not converge")
 
     def r_of_u(self, u):
-        return self._locate(u)[0]
+        return self.locate(u)[0]
 
     def u_of_r(self, r):
         """u at radii r, clipped to the sample window."""
@@ -141,13 +141,13 @@ class PotentialTable:
 
     def lam(self, u):
         """Conformal factor psi(r(u))^2."""
-        return self._locate(u)[2] ** 2
+        return self.locate(u)[2] ** 2
 
     def phi_prime(self, u):
-        return 2.0 * self._locate(u)[3]
+        return 2.0 * self.locate(u)[3]
 
     def phi(self, u):
-        return self._locate(u)[1]
+        return self.locate(u)[1]
 
     def band(self, lo: float, hi: float) -> tuple:
         """The norm rule on lo <= r <= hi, with fresh nodes on cut panels."""

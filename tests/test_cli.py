@@ -49,6 +49,22 @@ class TestExitCodes:
         assert run(["gram", "--m", "200", "--z", "50"]) != 2
         capsys.readouterr()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gram_m200_far_point(self, tmp_path, capsys):
+        # log-space evaluation: no overflow at m = 200, |z| = 50
+        out = tmp_path / "g.csv"
+        assert run(["gram", "--m", "200", "--z", "50", "--out", str(out)]) == 0
+        rho = float(read(out).splitlines()[-1].split(",")[-1])
+        assert abs(rho / 201.0 - 1.0) < 1e-10
+        capsys.readouterr()
+
+    def test_lp_pert_m200(self, tmp_path, capsys):
+        out = tmp_path / "l.csv"
+        assert run(["lp", "--m", "200", "--pert", "6", "--out", str(out)]) == 0
+        dev = float(read(out).splitlines()[-1].split(",")[-1])
+        assert math.isfinite(dev) and dev > 0
+        capsys.readouterr()
+
     def test_no_command_is_2(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
@@ -133,6 +149,21 @@ class TestOutputFormat:
         fields = dict(f.split("=") for f in health[0].removeprefix("# health: ").split())
         assert abs(float(fields["residual"])) < 1e-9
         assert 0.0 < float(fields["table_error"]) < 1e-10
+
+    def test_gram_path_health_header(self, tmp_path):
+        # the scaled Gram matrix is near the identity; the field integral is
+        # m+1 up to the correction's quadrature error
+        g, lp = tmp_path / "g.csv", tmp_path / "l.csv"
+        assert run(["gram", "--m", "8", "--pert", "6", "--out", str(g)]) == 0
+        assert run(["lp", "--m", "16", "--pert", "6", "--out", str(lp)]) == 0
+        for path, keys in ((g, {"scaled_cond"}), (lp, {"scaled_cond", "residual"})):
+            lines = read(path).splitlines()
+            assert any(ln.startswith("# condition_number: ") for ln in lines) == (path == g)
+            health = [ln for ln in lines if ln.startswith("# health: ")]
+            fields = dict(f.split("=") for f in health[0].removeprefix("# health: ").split())
+            assert set(fields) == keys
+            assert 1.0 <= float(fields["scaled_cond"]) < 1.1
+        assert abs(float(fields["residual"])) < 1e-6
 
     def test_cone_sweep_csv(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -315,8 +315,9 @@ class TestGram:
         assert np.max(np.abs(G - G.conj().T)) == 0.0
 
     def test_correction_matches_double_loop(self):
-        # reference: the per-(i, j) loop over the same polar grid; the one
-        # matrix product only changes the order of the radial sums
+        # reference: the per-(i, j) loop over the same polar grid and the same
+        # polar (phi, D); the one matrix product only changes the order of the
+        # radial sums
         m, pert = 12, PerturbedPotential(6)
         model = GramModel(m, pert, n_r=40, n_theta=64)
         xg, wg = np.polynomial.legendre.leggauss(model.n_r)
@@ -324,12 +325,10 @@ class TestGram:
         wr = 0.5 * wg * rho
         nt = model.n_theta
         theta = 2.0 * math.pi * np.arange(nt) / nt
-        X = rho[:, None] * np.cos(theta)[None, :]
-        Y = rho[:, None] * np.sin(theta)[None, :]
         s = rho * rho
         base = 1.0 / (math.pi * (1.0 + s) ** 2)
-        D = perturbed_area_density(pert, X, Y)
-        W = (1.0 + s[:, None]) ** (-m) * (np.exp(m * pert.phi(X + 1j * Y)) * D - base[:, None])
+        phi, D = gram._polar_fields(pert, rho, theta)
+        W = (1.0 + s[:, None]) ** (-m) * (np.exp(m * phi) * D - base[:, None])
         A = np.fft.fft(W, axis=1) * (2.0 * math.pi / nt)
         C = gram._correction_matrix(model)
         for i in range(m + 1):
@@ -338,6 +337,20 @@ class TestGram:
                 tol = model.n_r * np.finfo(float).eps * np.sum(np.abs(terms))
                 assert abs(C[i, j] - np.sum(terms)) <= tol
                 assert C[j, i] == np.conj(C[i, j])
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_polar_fields_match_pointwise(self, k):
+        # the polar (phi, D) of the correction and field grids against
+        # pert.phi and perturbed_area_density at every node
+        pert = PerturbedPotential(k)
+        xg, _ = np.polynomial.legendre.leggauss(160)
+        t = np.linspace(-0.999, 0.999, 96)
+        for rho, nt in ((0.5 * (xg + 1.0), 512), (np.sqrt((1.0 - t) / (1.0 + t)), 128)):
+            theta = 2.0 * math.pi * np.arange(nt) / nt
+            X, Y = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
+            phi, D = gram._polar_fields(pert, rho, theta)
+            assert np.array_equal(phi, pert.phi(X + 1j * Y))
+            assert np.max(np.abs(D / perturbed_area_density(pert, X, Y) - 1.0)) <= 1e-15
 
     def test_offdiagonal_magnitude_bound(self):
         # couplings come from the k^-4 oscillation over the unit disc
@@ -390,6 +403,34 @@ class TestGram:
         fld = rho_gram_field(GramModel(m))
         assert abs(fld.integral - (m + 1)) < 1e-3
         assert abs(fld.sup - (m + 1)) < 1e-8 and abs(fld.inf - (m + 1)) < 1e-8
+
+    def test_field_round_integral_exact(self):
+        # Gauss-Legendre in cos(lat) integrates the constant round kernel exactly
+        for m in (8, 32, 128):
+            assert abs(rho_gram_field(GramModel(m)).integral - (m + 1)) < 1e-10
+
+    def test_field_integral_perturbed(self):
+        # the correction's radial rule refined, what is left is the field
+        # rule's error; panel edges at the cutoff seams keep it below 1e-8
+        m = 32
+        fld = rho_gram_field(GramModel(m, PerturbedPotential(6), n_r=640))
+        assert abs(fld.integral - (m + 1)) < 1e-8
+
+    @pytest.mark.parametrize("m", [8, 32, 128, 200])
+    def test_field_matches_batched_rho_gram(self, m):
+        # two routes to the same values: Fourier diagonals of the scaled
+        # inverse on each latitude, and triangular solves at each node
+        model = GramModel(m, PerturbedPotential(6))
+        G = gram_matrix(model)
+        fld = rho_gram_field(model, G)
+        n_theta = 128
+        theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+        lat = fld.r * math.sqrt(4.0 * math.pi)
+        z = np.tan(0.5 * lat) * np.exp(1j * np.tile(theta, len(lat) // n_theta))
+        rho = rho_gram(G, model, z)
+        assert rho.shape == z.shape
+        assert np.max(np.abs(rho / fld.values - 1.0)) < 1e-12
+        assert rho_gram(G, model, z[5]) == pytest.approx(rho[5], rel=1e-14)
 
     def test_perturbed_density_positive(self):
         xs = np.linspace(-1.1, 1.1, 301)
