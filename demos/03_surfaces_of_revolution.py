@@ -32,7 +32,7 @@ def main():
     print("\ncone-approximation family, m = 100:")
     print(f"{'k':>4} {'inf/m':>10} {'sup/m':>8} {'argmin r':>10} {'3/sqrt(m)':>10}")
     for k in (10, 20, 40):
-        cone = rescale_to_area(make_cone_family(k).profile, 1)
+        cone = rescale_to_area(make_cone_family(k), 1)
         fld = rho_revolution(cone, 100)
         print(f"{k:4d} {fld.inf / 100:10.5f} {fld.sup / 100:8.3f} "
               f"{fld.argmin_r:10.4f} {3 / math.sqrt(100):10.4f}")
@@ -41,7 +41,7 @@ def main():
     rep = cone_sweep([20, 40], [25, 100])
     print("\nsweep verdicts (dip depth + dip location + spike window):")
     for row in rep.rows:
-        print(f"  k={row.k:3d} m={row.m:4d}  inf/m={row.inf_norm / row.m:.5f}  "
+        print(f"  k={row.k:3d} m={row.m:4d}  inf/m={row.inf_norm:.5f}  "
               f"verdict={'PASS' if row.verdict else 'no'}")
 
     print("\nFubini-Study current normalization, sup |log rho_m| / m:")

@@ -10,11 +10,9 @@ and the experiment drivers built on top of them.
 __version__ = "0.1.0"
 
 from .models import (
-    ConeApproxFamily,
     CyclicWeights,
     PerturbedPotential,
     RevolutionProfile,
-    cone_approx_profile,
     eval_f_k,
     f_k_alpha,
     f_k_domain_end,

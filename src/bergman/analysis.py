@@ -10,12 +10,7 @@ from io import StringIO
 import numpy as np
 
 from .kernels import KernelField, rho_revolution
-from .models import (
-    ConeApproxFamily,
-    RevolutionProfile,
-    make_cone_family,
-    rescale_to_area,
-)
+from .models import RevolutionProfile, make_cone_family, rescale_to_area
 from .orbifold import rho_closed
 from .potential import build_potential
 from .resonance import construct_certificate, find_subunity_point
@@ -70,41 +65,28 @@ def scalar_curvature_profile(profile: RevolutionProfile, r: float,
     return -d2 / p0 / (2.0 * math.pi)
 
 
-def _region_mask(field: KernelField, center_r: float, radius: float) -> np.ndarray:
-    return np.abs(field.r - center_r) <= radius
-
-
-def lp_deviation(field: KernelField, p: float, n: int = 1,
-                 center_r: float | None = None, radius: float = math.inf) -> float:
-    """Volume-normalized L^p norm of m^{-n} rho - 1 over a meridian band.
+def lp_deviation(field: KernelField, p: float, n: int = 1) -> float:
+    """Volume-normalized L^p norm of m^{-n} rho - 1 over the samples.
 
     Weights are the field's area elements; p = inf gives the sup deviation."""
     if p < 1:
         raise ValueError("p must be >= 1 (or inf)")
-    if center_r is None:
-        mask = np.ones(len(field.r), dtype=bool)
-    else:
-        mask = _region_mask(field, center_r, radius)
-    if not np.any(mask):
-        raise ValueError("region contains no sample points")
-    dev = np.abs(field.values[mask] / float(field.m) ** n - 1.0)
+    dev = np.abs(field.values / float(field.m) ** n - 1.0)
     if math.isinf(p):
         return float(np.max(dev))
-    w = field.weights[mask]
+    w = field.weights
     vol = float(np.sum(w))
     if vol <= 0:
-        raise ValueError("region has zero volume weight")
+        raise ValueError("field has zero volume weight")
     return float((np.sum(w * dev ** p) / vol) ** (1.0 / p))
 
 
-def fs_current_sup(field: KernelField, m: int | None = None) -> float:
+def fs_current_sup(field: KernelField) -> float:
     """sup |log rho_m| / m over the samples (current-normalization diagnostic)."""
-    if m is None:
-        m = field.m
     vals = np.asarray(field.values, dtype=float)
     if np.any(vals <= 0):
         raise ValueError("field values must be strictly positive")
-    return float(np.max(np.abs(np.log(vals))) / m)
+    return float(np.max(np.abs(np.log(vals))) / field.m)
 
 
 def flat_z3_witness_value() -> float:
@@ -138,10 +120,8 @@ class ExpansionReport:
     rows: tuple = ()
     eps_witness: float = 0.0
 
-    def to_csv(self, header_lines=()) -> str:
+    def to_csv(self) -> str:
         buf = StringIO()
-        for line in header_lines:
-            buf.write(f"# {line}\n")
         buf.write("k,m,inf_norm,sup_norm,argmin_r,l1,l2,linf,verdict\n")
         for r in self.rows:
             buf.write(f"{r.k},{r.m},{r.inf_norm:.12g},{r.sup_norm:.12g},"
@@ -182,8 +162,7 @@ def cone_sweep(k_list, m_list, n_samples: int = 1024) -> ExpansionReport:
     eps_witness = flat_z3_witness_value()
     rows = []
     for k in k_list:
-        fam = make_cone_family(k)
-        prof = rescale_to_area(fam.profile, 1)
+        prof = rescale_to_area(make_cone_family(k), 1)
         table = build_potential(prof)
         for m in m_list:
             fld = rho_revolution(prof, m, table=table, n_samples=n_samples)

@@ -39,9 +39,6 @@ from .resonance import construct_certificate, find_subunity_point
 
 __all__ = ["main", "run", "parse_config", "RunConfig"]
 
-_COMMANDS = ("orbifold-eval", "orbifold-ray", "resonance", "subunity",
-             "revolution", "gram", "cpn", "tyz", "lp", "fscurrent", "cone-sweep")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -93,7 +90,7 @@ def _profile_from_params(name: str, d: int, k: int | None):
     if name == "cone":
         if not k:
             raise ValueError("cone profile needs --k")
-        return rescale_to_area(make_cone_family(k).profile, d)
+        return rescale_to_area(make_cone_family(k), d)
     raise ValueError(f"unknown profile {name!r} (choose round or cone)")
 
 
@@ -109,12 +106,12 @@ def _cmd_orbifold_eval(p):
     rho = rho_closed(w, z)
     lines = _header("orbifold-eval", p)
     rows = ["rho", f"{rho!r}"]
-    if p.get("oracle"):
+    if p["oracle"]:
         cap = degree_cap_for(w, z, 1e-12)
         orc = rho_oracle(w, z, cap)
         rows = ["rho,oracle,tail_bound,degree_cap",
                 f"{rho!r},{orc.value!r},{orc.tail_bound!r},{orc.degree_cap}"]
-    _emit(lines, rows, p.get("out"))
+    _emit(lines, rows, p["out"])
     print(f"rho = {rho:.12f}", file=sys.stderr)
     return 0
 
@@ -122,15 +119,15 @@ def _cmd_orbifold_eval(p):
 def _cmd_orbifold_ray(p):
     w = _parse_weights(p["weights"])
     direction = np.array(_parse_floats(p["direction"]))
-    t_max = float(p.get("tmax", 5.0))
-    nodes = int(p.get("nodes", 512))
+    t_max = p["tmax"]
+    nodes = p["nodes"]
     t_star, rho_star = min_on_ray(w, direction, t_max, nodes=nodes)
     sq = np.sqrt(direction)
     ts = np.linspace(t_max / nodes, t_max, nodes)
     rhos = rho_closed(w, ts[:, None] * sq)
     rows = ["t,rho"] + [f"{float(t)!r},{float(rho)!r}" for t, rho in zip(ts, rhos)]
     lines = _header("orbifold-ray", p) + [f"min: t={t_star!r} rho={rho_star!r}"]
-    _emit(lines, rows, p.get("out"))
+    _emit(lines, rows, p["out"])
     print(f"ray minimum rho = {rho_star:.12f} at t = {t_star:.9f}", file=sys.stderr)
     return 0
 
@@ -142,7 +139,7 @@ def _cmd_resonance(p):
     rows = ["j,margin,sin_sum,r",
             f"{cert.j},{cert.margin!r},{cert.sin_sum!r},"
             + ";".join(repr(float(x)) for x in cert.r)]
-    _emit(lines, rows, p.get("out"))
+    _emit(lines, rows, p["out"])
     print(f"certificate: j={cert.j} margin={cert.margin:.6e} "
           f"sin_sum={cert.sin_sum:.6e}", file=sys.stderr)
     return 0
@@ -151,24 +148,24 @@ def _cmd_resonance(p):
 def _cmd_subunity(p):
     w = _parse_weights(p["weights"])
     cert = construct_certificate(w)
-    wit = find_subunity_point(w, cert, k_max=int(p.get("kmax", 50)))
+    wit = find_subunity_point(w, cert, k_max=p["kmax"])
     if not wit.found:
         print(f"no sub-unity point found; best rho = {wit.rho!r}", file=sys.stderr)
         return 1
     lines = _header("subunity", p)
     rows = ["t_sq,rho,k",
             f"{wit.t * wit.t!r},{wit.rho!r},{wit.k}"]
-    _emit(lines, rows, p.get("out"))
+    _emit(lines, rows, p["out"])
     print(f"witness: t^2 = {wit.t**2:.6f}, rho = {wit.rho:.6f}, k = {wit.k}",
           file=sys.stderr)
     return 0
 
 
 def _cmd_revolution(p):
-    d = int(p.get("d", 1))
-    m = int(p["m"])
-    prof = _profile_from_params(p.get("profile", "round"), d, p.get("k"))
-    grid = int(p.get("grid", 256))
+    d = p["d"]
+    m = p["m"]
+    prof = _profile_from_params(p["profile"], d, p["k"])
+    grid = p["grid"]
     table = build_potential(prof)
     fld = rho_revolution(prof, m, table=table, n_samples=grid)
     lines = _header("revolution", p) + [
@@ -176,7 +173,7 @@ def _cmd_revolution(p):
         f"integral={fld.integral!r}",
         f"health: residual={fld.integral - (m * d + 1)!r} table_error={table.error!r}"]
     rows = ["r,rho"] + [f"{float(r)!r},{float(v)!r}" for r, v in zip(fld.r, fld.values)]
-    _emit(lines, rows, p.get("out"))
+    _emit(lines, rows, p["out"])
     print(f"rho_{m}: inf={fld.inf:.9f} sup={fld.sup:.9f} "
           f"integral={fld.integral:.9f}", file=sys.stderr)
     return 0
@@ -189,18 +186,18 @@ def _scaled_cond(G):
 
 
 def _cmd_gram(p):
-    m = int(p["m"])
-    pk = int(p.get("pert", 0))
+    m = p["m"]
+    pk = p["pert"]
     pert = PerturbedPotential(pk) if pk else None
     model = GramModel(m, pert)
     G = gram_matrix(model)
     cond = float(np.linalg.cond(G))
-    zs = _parse_complexes(p.get("z", "0"))
+    zs = _parse_complexes(p["z"])
     rhos = rho_gram(G, model, np.array(zs))
     rows = ["z,rho"] + [f"{z!r},{float(rho)!r}" for z, rho in zip(zs, rhos)]
     lines = _header("gram", p) + [f"condition_number: {cond!r}", _scaled_cond(G)]
-    _emit(lines, rows, p.get("out"))
-    if p.get("dump_gram"):
+    _emit(lines, rows, p["out"])
+    if p["dump_gram"]:
         grows = ["i,j,re,im"]
         for i in range(m + 1):
             for j in range(m + 1):
@@ -211,136 +208,135 @@ def _cmd_gram(p):
 
 
 def _cmd_cpn(p):
-    n = int(p["n"])
-    m = int(p["m"])
+    n = p["n"]
+    m = p["m"]
     exact = cpn_fs_exact(n, m)
     oracle = cpn_fs_oracle(n, m)
     lines = _header("cpn", p)
     rows = ["n,m,rho_exact,rho_oracle", f"{n},{m},{exact},{oracle}"]
-    _emit(lines, rows, p.get("out"))
+    _emit(lines, rows, p["out"])
     print(f"rho on CP^{n} at m={m}: {exact}", file=sys.stderr)
     return 0
 
 
 def _cmd_tyz(p):
-    n = int(p.get("n", 1))
-    m1, m2 = int(p["m1"]), int(p["m2"])
-    if "rho1" in p and p["rho1"] is not None:
-        r1, r2 = float(p["rho1"]), float(p["rho2"])
+    n = p["n"]
+    m1, m2 = p["m1"], p["m2"]
+    if (p["rho1"] is None) != (p["rho2"] is None):
+        raise ValueError("--rho1 and --rho2 go together")
+    if p["rho1"] is not None:
+        r1, r2 = p["rho1"], p["rho2"]
     else:
         r1, r2 = cpn_fs_exact(n, m1), cpn_fs_exact(n, m2)
     a1, resid = tyz_a1_estimate(r1, r2, m1, m2, n)
     lines = _header("tyz", p)
     rows = ["a1,residual", f"{a1!r},{resid!r}"]
-    _emit(lines, rows, p.get("out"))
+    _emit(lines, rows, p["out"])
     print(f"a1 = {a1:.9f} (residual {resid:.3e})", file=sys.stderr)
     return 0
 
 
 def _cmd_lp(p):
-    m = int(p["m"])
-    pexp = math.inf if p.get("p", "1") in ("inf", "oo") else float(p.get("p", "1"))
-    pk = int(p.get("pert", 0))
+    m = p["m"]
+    pexp = math.inf if p["p"] in ("inf", "oo") else float(p["p"])
+    pk = p["pert"]
     lines = _header("lp", p)
     if pk:
         model = GramModel(m, PerturbedPotential(pk))
         G = gram_matrix(model)
         fld = rho_gram_field(model, G)
-        n = 1
         lines.append(f"{_scaled_cond(G)} residual={fld.integral - (m + 1)!r}")
     else:
-        prof = _profile_from_params(p.get("profile", "round"), int(p.get("d", 1)), p.get("k"))
+        prof = _profile_from_params(p["profile"], p["d"], p["k"])
         table = build_potential(prof)
         fld = rho_revolution(prof, m, table=table)
-        n = 1
         lines.append(f"health: table_error={table.error!r}")
-    dev = lp_deviation(fld, pexp, n)
+    dev = lp_deviation(fld, pexp)
     rows = ["p,deviation", f"{pexp},{dev!r}"]
-    _emit(lines, rows, p.get("out"))
+    _emit(lines, rows, p["out"])
     print(f"L^{pexp} deviation = {dev:.9e}", file=sys.stderr)
     return 0
 
 
 def _cmd_fscurrent(p):
-    m_list = _parse_ints(p.get("m_list", "10,20,40,80"))
-    prof = _profile_from_params(p.get("profile", "round"), int(p.get("d", 1)), p.get("k"))
+    m_list = _parse_ints(p["m_list"])
+    prof = _profile_from_params(p["profile"], p["d"], p["k"])
     table = build_potential(prof)
     rows = ["m,sup_log_rho_over_m"]
     for m in m_list:
         fld = rho_revolution(prof, m, table=table)
         rows.append(f"{m},{fs_current_sup(fld)!r}")
     _emit(_header("fscurrent", p) + [f"health: table_error={table.error!r}"],
-          rows, p.get("out"))
+          rows, p["out"])
     return 0
 
 
 def _cmd_cone_sweep(p):
-    k_list = _parse_ints(p.get("k_list", "10,20,40"))
-    m_list = _parse_ints(p.get("m_list", "25,100,400"))
-    rep = cone_sweep(k_list, m_list, n_samples=int(p.get("grid", 1024)))
+    k_list = _parse_ints(p["k_list"])
+    m_list = _parse_ints(p["m_list"])
+    rep = cone_sweep(k_list, m_list, n_samples=p["grid"])
     lines = _header("cone-sweep", p) + [f"eps_witness: {rep.eps_witness!r}"]
-    _emit(lines, rep.to_csv().splitlines(), p.get("out"))
+    _emit(lines, rep.to_csv().splitlines(), p["out"])
     print(rep.summary(), file=sys.stderr)
     return 0
 
 
-_DISPATCH = {
-    "orbifold-eval": _cmd_orbifold_eval,
-    "orbifold-ray": _cmd_orbifold_ray,
-    "resonance": _cmd_resonance,
-    "subunity": _cmd_subunity,
-    "revolution": _cmd_revolution,
-    "gram": _cmd_gram,
-    "cpn": _cmd_cpn,
-    "tyz": _cmd_tyz,
-    "lp": _cmd_lp,
-    "fscurrent": _cmd_fscurrent,
-    "cone-sweep": _cmd_cone_sweep,
+_REQUIRED = object()  # the default of a parameter that has none
+_PROFILE = [("profile", str, "round"), ("d", int, 1), ("k", int, None)]
+
+# command -> (handler, [(name, type, default)]); bool marks a flag, and every
+# command also takes --out.  Handlers look library functions up at call time.
+_COMMANDS = {
+    "orbifold-eval": (_cmd_orbifold_eval, [("weights", str, _REQUIRED), ("z", str, _REQUIRED),
+                                           ("oracle", bool, False)]),
+    "orbifold-ray": (_cmd_orbifold_ray, [("weights", str, _REQUIRED), ("direction", str, _REQUIRED),
+                                         ("tmax", float, 5.0), ("nodes", int, 512)]),
+    "resonance": (_cmd_resonance, [("weights", str, _REQUIRED)]),
+    "subunity": (_cmd_subunity, [("weights", str, _REQUIRED), ("kmax", int, 50)]),
+    "revolution": (_cmd_revolution, _PROFILE + [("m", int, _REQUIRED), ("grid", int, 256)]),
+    "gram": (_cmd_gram, [("m", int, _REQUIRED), ("pert", int, 0), ("z", str, "0"),
+                         ("dump_gram", str, None)]),
+    "cpn": (_cmd_cpn, [("n", int, _REQUIRED), ("m", int, _REQUIRED)]),
+    "tyz": (_cmd_tyz, [("n", int, 1), ("m1", int, _REQUIRED), ("m2", int, _REQUIRED),
+                       ("rho1", float, None), ("rho2", float, None)]),
+    "lp": (_cmd_lp, _PROFILE + [("m", int, _REQUIRED), ("p", str, "1"), ("pert", int, 0)]),
+    "fscurrent": (_cmd_fscurrent, _PROFILE + [("m_list", str, "10,20,40,80")]),
+    "cone-sweep": (_cmd_cone_sweep, [("k_list", str, "10,20,40"), ("m_list", str, "25,100,400"),
+                                     ("grid", int, 1024)]),
 }
 
-# per-command parameter schema: name -> (required, default)
-_SCHEMA = {
-    "orbifold-eval": {"weights": (True, None), "z": (True, None),
-                      "oracle": (False, False), "out": (False, None)},
-    "orbifold-ray": {"weights": (True, None), "direction": (True, None),
-                     "tmax": (False, 5.0), "nodes": (False, 512), "out": (False, None)},
-    "resonance": {"weights": (True, None), "out": (False, None)},
-    "subunity": {"weights": (True, None), "kmax": (False, 50), "out": (False, None)},
-    "revolution": {"profile": (False, "round"), "d": (False, 1), "k": (False, None),
-                   "m": (True, None), "grid": (False, 256), "out": (False, None)},
-    "gram": {"m": (True, None), "pert": (False, 0), "z": (False, "0"),
-             "dump_gram": (False, None), "out": (False, None)},
-    "cpn": {"n": (True, None), "m": (True, None), "out": (False, None)},
-    "tyz": {"n": (False, 1), "m1": (True, None), "m2": (True, None),
-            "rho1": (False, None), "rho2": (False, None), "out": (False, None)},
-    "lp": {"profile": (False, "round"), "d": (False, 1), "k": (False, None),
-           "m": (True, None), "p": (False, "1"), "pert": (False, 0), "out": (False, None)},
-    "fscurrent": {"profile": (False, "round"), "d": (False, 1), "k": (False, None),
-                  "m_list": (False, "10,20,40,80"), "out": (False, None)},
-    "cone-sweep": {"k_list": (False, "10,20,40"), "m_list": (False, "25,100,400"),
-                   "grid": (False, 1024), "out": (False, None)},
-}
+
+def _params(command: str):
+    return _COMMANDS[command][1] + [("out", str, None)]
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _validate(command: str, params: dict) -> dict:
-    if command not in _SCHEMA:
+    """Every parameter of the command, defaults filled in and each value
+    converted once by the table's type; raises ValueError on bad input."""
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    schema = _SCHEMA[command]
-    unknown = set(params) - set(schema)
+    unknown = set(params) - {key for key, _, _ in _params(command)}
     if unknown:
         raise ValueError(f"unknown keys for {command}: {sorted(unknown)}")
     resolved = {}
-    for key, (required, default) in schema.items():
-        if key in params and params[key] is not None:
-            resolved[key] = params[key]
-        elif required:
-            raise ValueError(f"{command} requires --{key.replace('_', '-')}")
-        else:
-            resolved[key] = default
+    for key, kind, default in _params(command):
+        value = params.get(key)
+        if value is None and default is _REQUIRED:
+            raise ValueError(f"{command} requires {_flag(key)}")
+        try:
+            if value is not None and isinstance(value, bool) != (kind is bool):
+                raise TypeError  # bool("false") is True and int(True) is 1
+            resolved[key] = default if value is None else kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{_flag(key)}: {value!r} is not of type {kind.__name__}") from None
     for key in ("out", "dump_gram"):
         folder = os.path.dirname(os.path.abspath(resolved.get(key) or "."))
         if resolved.get(key) and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-            raise ValueError(f"--{key.replace('_', '-')}: {folder} is not a writable directory")
+            raise ValueError(f"{_flag(key)}: {folder} is not a writable directory")
     return resolved
 
 
@@ -364,34 +360,13 @@ def _build_parser():
         description="Bergman kernel laboratory for model polarized surfaces")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command")
-    specs = {
-        "orbifold-eval": [("--weights", str), ("--z", str),
-                          ("--oracle", "flag"), ("--out", str)],
-        "orbifold-ray": [("--weights", str), ("--direction", str),
-                         ("--tmax", float), ("--nodes", int), ("--out", str)],
-        "resonance": [("--weights", str), ("--out", str)],
-        "subunity": [("--weights", str), ("--kmax", int), ("--out", str)],
-        "revolution": [("--profile", str), ("--d", int), ("--k", int),
-                       ("--m", int), ("--grid", int), ("--out", str)],
-        "gram": [("--m", int), ("--pert", int), ("--z", str),
-                 ("--dump-gram", str), ("--out", str)],
-        "cpn": [("--n", int), ("--m", int), ("--out", str)],
-        "tyz": [("--n", int), ("--m1", int), ("--m2", int),
-                ("--rho1", float), ("--rho2", float), ("--out", str)],
-        "lp": [("--profile", str), ("--d", int), ("--k", int), ("--m", int),
-               ("--p", str), ("--pert", int), ("--out", str)],
-        "fscurrent": [("--profile", str), ("--d", int), ("--k", int),
-                      ("--m-list", str), ("--out", str)],
-        "cone-sweep": [("--k-list", str), ("--m-list", str), ("--grid", int),
-                       ("--out", str)],
-    }
-    for name, args in specs.items():
-        sp = sub.add_parser(name)
-        for flag, kind in args:
-            if kind == "flag":
-                sp.add_argument(flag, action="store_true")
+    for command in _COMMANDS:
+        sp = sub.add_parser(command)
+        for key, kind, _ in _params(command):
+            if kind is bool:
+                sp.add_argument(_flag(key), action="store_true")
             else:
-                sp.add_argument(flag, type=kind)
+                sp.add_argument(_flag(key), type=kind)
     cp = sub.add_parser("config")
     cp.add_argument("path")
     return ap
@@ -413,8 +388,8 @@ def run(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        return _DISPATCH[cfg.command](cfg.params)
-    except (ValueError, KeyError) as e:
+        return _COMMANDS[cfg.command][0](cfg.params)
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # computation failure

@@ -44,23 +44,19 @@ def _log_norms_on(rule, m: int, ks: np.ndarray) -> np.ndarray:
     return logsumexp(2.0 * ks[:, None] * u + base, axis=1)
 
 
-def log_monomial_norms(table: PotentialTable, m: int, d: int | None = None) -> np.ndarray:
+def log_monomial_norms(table: PotentialTable, m: int) -> np.ndarray:
     """log N_k for k = 0..md, N_k = 2 pi int e^{2ku - 2 pi m phi} psi dr."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if d is None:
-        d = table.d
-    if d != table.d:
-        raise ValueError(f"degree {d} does not match the table's {table.d}")
-    out = _log_norms_on(table.nodes, m, np.arange(m * d + 1))
+    out = _log_norms_on(table.nodes, m, np.arange(m * table.d + 1))
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise ArithmeticError(f"monomial norm k={bad[0]} did not converge")
     return out
 
 
-def monomial_norms(table: PotentialTable, m: int, d: int | None = None) -> np.ndarray:
-    return np.exp(log_monomial_norms(table, m, d))
+def monomial_norms(table: PotentialTable, m: int) -> np.ndarray:
+    return np.exp(log_monomial_norms(table, m))
 
 
 def _log_rho(u, phi, m: int, log_norms: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ points where it is only finitely smooth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm
 
 import numpy as np
@@ -19,18 +19,17 @@ __all__ = [
     "CyclicWeights",
     "RevolutionProfile",
     "PerturbedPotential",
-    "ConeApproxFamily",
     "make_cyclic_weights",
     "eval_f_k",
     "f_k_domain_end",
     "f_k_alpha",
     "round_sphere",
-    "cone_approx_profile",
     "make_cone_family",
     "rescale_to_area",
 ]
 
 DEFAULT_GRID_NODES = 2048
+CONE_KAPPA = 0.05  # the cone family satisfies -psi'' >= CONE_KAPPA * psi
 
 
 @dataclass(frozen=True)
@@ -142,13 +141,11 @@ class RevolutionProfile:
     name: str = "profile"
     seams: tuple[float, ...] = ()
 
-    def __call__(self, r):
-        return self.psi(r)
-
-    def area(self, rel_tol: float = 1e-12) -> float:
+    def area(self) -> float:
         """Total area 2*pi*int_0^L psi dr."""
-        val, _ = quad(self.psi, 0.0, self.length, points=self.seams or None,
-                      epsabs=0.0, epsrel=rel_tol, limit=500)
+        seams = [s for s in self.seams if 0.0 < s < self.length]
+        val, _ = quad(self.psi, 0.0, self.length, points=seams or None,
+                      epsabs=0.0, epsrel=1e-12, limit=500)
         return 2.0 * math.pi * val
 
 
@@ -206,18 +203,6 @@ def _fk_derivs(k: int, r: float):
     return (amp * math.sin(arg), amp * c * math.cos(arg), -amp * c * c * math.sin(arg))
 
 
-@dataclass(frozen=True)
-class ConeApproxFamily:
-    """Smoothed member of the f_k family: C^2, equal to f_k outside the
-    mollification windows, with -psi'' >= kappa*psi verified on the grid."""
-
-    k: int
-    alpha_k: float
-    smoothing_width: float
-    kappa: float
-    profile: RevolutionProfile = field(repr=False, compare=False)
-
-
 def _hermite_slope_blend(x, x0, x1, base, g0, m0, g1, m1):
     """psi on [x0, x1] whose derivative is the cubic Hermite of (g, m) data.
 
@@ -248,7 +233,7 @@ def _smoothed_fk_callable(k: int):
     window; the resulting value offset (the Hermite misses the exact increment
     of f) is carried as a constant shift and removed by a C^2 smoothstep on
     the last branch, where -psi''/psi is largest and absorbs it harmlessly.
-    Returns psi, the first window's half-width and the seams x0..x4.
+    Returns psi and the seams x0..x4.
     """
     a = f_k_alpha(k)
     w1 = 0.25 * a  # keeps r < alpha_k/2 untouched and sin(w1)/3 >= ~2 kappa psi
@@ -285,32 +270,26 @@ def _smoothed_fk_callable(k: int):
             out = np.where(fade, out + d2 * (1.0 - _smoothstep_c2((rr - x3) / (x4 - x3))), out)
         return out if out.shape else float(out)
 
-    return psi, w1, (x0, x1, x2, x3, x4)
+    return psi, (x0, x1, x2, x3, x4)
 
 
-def cone_approx_profile(k: int) -> RevolutionProfile:
-    """Smoothed f_k profile (cone of angle 2*pi/3 at the r=0 pole as k grows)."""
-    psi, _, seams = _smoothed_fk_callable(k)
-    end = f_k_domain_end(k)
-    return _finalize_profile(psi, end, 1, (1.0, 1.0), f"cone(k={k})", seams)
-
-
-def make_cone_family(k: int, kappa: float = 0.05, nodes: int = DEFAULT_GRID_NODES) -> ConeApproxFamily:
-    """Build the smoothed family member and verify -psi'' >= kappa*psi on the grid."""
+def make_cone_family(k: int) -> RevolutionProfile:
+    """Smoothed f_k profile (cone of angle 2*pi/3 at the r=0 pole as k grows),
+    with -psi'' >= CONE_KAPPA*psi verified on a grid."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    prof = cone_approx_profile(k)
-    psi, w, _ = _smoothed_fk_callable(k)
+    psi, seams = _smoothed_fk_callable(k)
+    prof = _finalize_profile(psi, f_k_domain_end(k), 1, (1.0, 1.0), f"cone(k={k})", seams)
     # second-difference check on a uniform grid
-    r = np.linspace(0.0, prof.length, 4 * nodes + 1)[1:-1]
+    r = np.linspace(0.0, prof.length, 4 * DEFAULT_GRID_NODES + 1)[1:-1]
     h = r[1] - r[0]
     vals = np.asarray(psi(r))
     d2 = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h**2
-    bad = -d2 < kappa * vals[1:-1] - 1e-9
+    bad = -d2 < CONE_KAPPA * vals[1:-1] - 1e-9
     if bad.any():
-        worst = np.min((-d2 - kappa * vals[1:-1])[bad])
-        raise ValueError(f"curvature bound -psi'' >= {kappa}*psi fails by {worst:.3e}")
-    return ConeApproxFamily(k=k, alpha_k=f_k_alpha(k), smoothing_width=w, kappa=kappa, profile=prof)
+        worst = np.min((-d2 - CONE_KAPPA * vals[1:-1])[bad])
+        raise ValueError(f"curvature bound -psi'' >= {CONE_KAPPA}*psi fails by {worst:.3e}")
+    return prof
 
 
 # ---------------------------------------------------------------------------

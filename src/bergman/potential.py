@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre as leg
-from scipy.integrate import quad
 
 from .models import RevolutionProfile
 
@@ -165,16 +164,14 @@ def build_potential(profile: RevolutionProfile) -> PotentialTable:
     L, d = profile.length, profile.d
     if L <= 0:
         raise ValueError("profile has no positive part")
-    seams = [s for s in profile.seams if 0.0 < s < L]
-    area = quad(profile.psi, 0.0, L, points=seams or None, epsabs=0.0, epsrel=1e-12, limit=500)[0]
-    if abs(2.0 * math.pi * area - d) > 1e-8 * max(d, 1):
-        raise ValueError(f"profile area {2.0 * math.pi * area} is not the "
-                         f"integer degree {d}; rescale first")
+    area = profile.area()
+    if abs(area - d) > 1e-8 * max(d, 1):
+        raise ValueError(f"profile area {area} is not the integer degree {d}; rescale first")
 
     # edges at the poles, the seams and L/2 halved toward both poles; panels
     # wider than _PANEL are split evenly
     grades = 0.5 * L * 0.5 ** np.arange(_GRADES)
-    e = np.unique(np.concatenate([[0.0, L], grades, L - grades, seams]))
+    e = np.unique(np.concatenate([[0.0, L], grades, L - grades, profile.seams]))
     n = np.ceil(np.diff(e) / _PANEL).astype(int)
     edges = np.append(np.concatenate(
         [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(e[:-1], e[1:], n)]), L)
@@ -184,9 +181,9 @@ def build_potential(profile: RevolutionProfile) -> PotentialTable:
     (v, r0, rule), (v_check, _, check) = (
         _integrate(profile, x, p.reshape(y.shape))
         for x, p, y in zip((edges, halves), np.split(psi, [r[0].size]), r))
-    if not abs(v[1, -1, 0] - area) <= 5e-9:  # phi'(+inf) - phi'(-inf) = 2 a(L) = d/pi
+    if not abs(v[1, -1, 0] - area / (2.0 * math.pi)) <= 5e-9:  # phi' span 2 a(L) = d/pi
         raise RuntimeError(f"degree bookkeeping failed: phi' span {2.0 * v[1, -1, 0]} "
-                           f"vs {2.0 * area} by adaptive quadrature")
+                           f"vs {area / math.pi} by adaptive quadrature")
     return PotentialTable(
         profile=profile, d=d, u_min=-(_TRUNC_LOG / (2.0 * profile.cone_slopes[0]) + _MARGIN),
         u_max=_TRUNC_LOG / (2.0 * profile.cone_slopes[1]) + _MARGIN, r_equator=r0,

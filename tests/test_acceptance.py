@@ -161,7 +161,7 @@ def test_criterion_05_round_sphere_exactness():
 
 def test_criterion_06_dimension_identity():
     profiles = [("round", round_sphere())]
-    profiles += [(f"cone{k}", rescale_to_area(make_cone_family(k).profile, 1))
+    profiles += [(f"cone{k}", rescale_to_area(make_cone_family(k), 1))
                  for k in (10, 20, 40)]
     worst = 0.0
     for _, prof in profiles:
@@ -217,7 +217,7 @@ def test_criterion_08_cone_family_counterexample():
     # flat-cone blow-up limit for the dip to clear the stated threshold
     t0 = time.time()
     k, m = 40, 100
-    prof = rescale_to_area(make_cone_family(k).profile, 1)
+    prof = rescale_to_area(make_cone_family(k), 1)
     fld = rho_revolution(prof, m)
     dip = fld.inf / m
     spike = fld.sup / m
@@ -248,7 +248,7 @@ def test_criterion_10_fs_current_normalization():
     detail = []
     ok = True
     for name, prof in (("round", round_sphere()),
-                       ("cone10", rescale_to_area(make_cone_family(10).profile, 1))):
+                       ("cone10", rescale_to_area(make_cone_family(10), 1))):
         vals = [fs_current_sup(rho_revolution(prof, m)) for m in (10, 20, 40, 80)]
         mono = all(a > b for a, b in zip(vals, vals[1:]))
         ok = ok and mono

@@ -32,9 +32,12 @@ class TestExitCodes:
     def test_wrong_point_length_is_2(self):
         assert run(["orbifold-eval", "--weights", "1/3,1/5", "--z", "1.0"]) == 2
 
+    def test_lone_rho1_is_2(self):
+        assert run(["tyz", "--m1", "10", "--m2", "20", "--rho1", "11"]) == 2
+
     def test_unwritable_output_is_2(self, monkeypatch):
         ran = []
-        monkeypatch.setitem(cli._DISPATCH, "cpn", ran.append)
+        monkeypatch.setitem(cli._COMMANDS, "cpn", (ran.append, cli._COMMANDS["cpn"][1]))
         assert run(["cpn", "--n", "1", "--m", "3",
                     "--out", "/nonexistent/dir/x.csv"]) == 2
         assert ran == []
@@ -68,6 +71,14 @@ class TestExitCodes:
     def test_no_command_is_2(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
+
+    def test_key_error_in_command_is_1(self, monkeypatch, capsys):
+        # every key is present after validation, so a KeyError is a fault
+        def broken(p):
+            return p["absent"]
+        monkeypatch.setitem(cli._COMMANDS, "cpn", (broken, cli._COMMANDS["cpn"][1]))
+        assert run(["cpn", "--n", "1", "--m", "3"]) == 1
+        assert "computation failed" in capsys.readouterr().err
 
 
 class TestOutputFormat:
@@ -215,3 +226,61 @@ class TestConfigFile:
 
     def test_missing_file_is_2(self, tmp_path):
         assert run(["config", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("doc,key,number", [
+        ({"command": "gram", "m": 4}, "z", 0.5),
+        ({"command": "cone-sweep", "m_list": "25", "grid": 64}, "k_list", 10),
+    ])
+    def test_values_converted_by_type(self, doc, key, number, tmp_path, capsys):
+        # a number where the table says str is read as its text
+        path, out = tmp_path / "run.json", tmp_path / "o.csv"
+        written = []
+        for value in (number, str(number)):
+            path.write_text(json.dumps(dict(doc, out=str(out), **{key: value})))
+            assert run(["config", str(path)]) == 0
+            written.append(read(out))
+        assert written[0] == written[1]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("doc", [
+        {"command": "cpn", "n": 1, "m": [3]},
+        {"command": "cpn", "n": 1, "m": "three"},
+        {"command": "cpn", "n": 1, "m": 1e400},
+        {"command": "tyz", "m1": 10, "m2": 20, "rho1": {}},
+        {"command": "orbifold-eval", "weights": "1/3", "z": "1.0", "oracle": "false"},
+        {"command": "cpn", "n": True, "m": 3},
+        {"command": ["cpn"], "n": 1, "m": 3},
+    ])
+    def test_wrongly_typed_value_is_2(self, doc, tmp_path, monkeypatch, capsys):
+        ran = []
+        for name, (_, params) in list(cli._COMMANDS.items()):
+            monkeypatch.setitem(cli._COMMANDS, name, (ran.append, params))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert run(["config", str(path)]) == 2
+        assert ran == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def _as_flags(doc):
+    argv = [doc["command"]]
+    for key, val in doc.items():
+        if key != "command" and val is not False:
+            flag = "--" + key.replace("_", "-")
+            argv.append(flag if val is True else f"{flag}={val}")
+    return argv
+
+
+@pytest.mark.parametrize("config", sorted(
+    (Path(__file__).resolve().parents[1] / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_flags_and_config_write_same_bytes(config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    doc = json.loads(config.read_text())
+    out = tmp_path / doc["out"]
+    assert run(_as_flags(doc)) == 0
+    from_flags = out.read_bytes()
+    out.unlink()
+    assert run(["config", str(config)]) == 0
+    assert out.read_bytes() == from_flags
+    capsys.readouterr()

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from bergman import models
 from bergman.models import (
     PerturbedPotential,
-    cone_approx_profile,
+    RevolutionProfile,
     eval_f_k,
     f_k_alpha,
     f_k_domain_end,
@@ -80,25 +81,29 @@ class TestFk:
 
 class TestConeFamily:
     @pytest.mark.parametrize("k", [1, 3, 8, 20])
-    def test_curvature_bound_holds(self, k):
-        fam = make_cone_family(k)
-        assert fam.kappa == 0.05
-        assert fam.alpha_k == f_k_alpha(k)
+    def test_curvature_bound_holds(self, k, monkeypatch):
+        prof = make_cone_family(k)
+        assert isinstance(prof, RevolutionProfile) and prof.length == f_k_domain_end(k)
+        assert models.CONE_KAPPA == 0.05
+        # -psi''/psi < 1 on the middle branch, so a bound of 10 must be refused
+        monkeypatch.setattr(models, "CONE_KAPPA", 10.0)
+        with pytest.raises(ValueError, match="curvature bound"):
+            make_cone_family(k)
 
     @pytest.mark.parametrize("k", [2, 8])
     def test_exact_agreement_outside_windows(self, k):
-        fam = make_cone_family(k)
-        a = fam.alpha_k
-        end = fam.profile.length
+        prof = make_cone_family(k)
+        a = f_k_alpha(k)
+        end = prof.length
         rs = np.concatenate([
             np.linspace(0.0, a / 2 - 1e-9, 40),
             np.linspace(a + 2 * math.pi / 3, end, 40),
         ])
-        assert np.max(np.abs(fam.profile.psi(rs) - eval_f_k(k, rs))) == 0.0
+        assert np.max(np.abs(prof.psi(rs) - eval_f_k(k, rs))) == 0.0
 
     def test_c2_seams(self):
         # second differences continuous across every seam of the blend
-        p = cone_approx_profile(6)
+        p = make_cone_family(6)
         r = np.linspace(1e-3, p.length - 1e-3, 40001)
         h = r[1] - r[0]
         v = np.asarray(p.psi(r))
@@ -107,12 +112,12 @@ class TestConeFamily:
         assert np.max(jumps) < 0.05  # scale ~ max|psi'''| * h
 
     def test_positive_interior(self):
-        p = cone_approx_profile(4)
+        p = make_cone_family(4)
         r = np.linspace(1e-6, p.length - 1e-6, 5001)
         assert np.all(np.asarray(p.psi(r)) > 0)
 
     def test_area_decreases_toward_cone_limit(self):
-        areas = [make_cone_family(k).profile.area() for k in (2, 5, 10)]
+        areas = [make_cone_family(k).area() for k in (2, 5, 10)]
         assert areas[0] > areas[1] > areas[2] > 8 * math.pi / 9
 
 
@@ -122,7 +127,7 @@ class TestRoundSphereAndRescale:
             assert abs(round_sphere(d).area() - d) < 1e-10
 
     def test_rescale_hits_target_area(self):
-        prof = rescale_to_area(make_cone_family(5).profile, 1)
+        prof = rescale_to_area(make_cone_family(5), 1)
         assert abs(prof.area() - 1.0) < 1e-9
 
     def test_rescale_idempotent(self):
@@ -130,7 +135,7 @@ class TestRoundSphereAndRescale:
         assert p1 is round_sphere() or abs(p1.area() - 1.0) < 1e-12
 
     def test_rescale_preserves_pole_slopes(self):
-        p = rescale_to_area(make_cone_family(3).profile, 1)
+        p = rescale_to_area(make_cone_family(3), 1)
         h = 1e-7
         assert abs(p.psi(h) / h - 1.0) < 1e-4
 
