@@ -9,6 +9,7 @@ own artifact.  Exit codes: 0 success, 1 computation failure, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -330,6 +331,8 @@ def _validate(command: str, params: dict) -> dict:
         try:
             if value is not None and isinstance(value, bool) != (kind is bool):
                 raise TypeError  # bool("false") is True and int(True) is 1
+            if kind is int and isinstance(value, float) and not value.is_integer():
+                raise TypeError  # int(3.7) is 3
             resolved[key] = default if value is None else kind(value)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{_flag(key)}: {value!r} is not of type {kind.__name__}") from None
@@ -354,6 +357,7 @@ def parse_config(path: str) -> RunConfig:
     return RunConfig(command=command, params=_validate(command, params))
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="bergman",

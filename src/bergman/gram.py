@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.special import gammaln, xlogy
 
 from .kernels import KernelField
 from .models import PerturbedPotential
@@ -57,6 +55,8 @@ class GramModel:
 
 def fs_log_norms(m: int) -> np.ndarray:
     """log of the FS monomial norms i!(m-i)!/(m+1)! (area-1 normalization)."""
+    from scipy.special import gammaln
+
     i = np.arange(m + 1)
     return gammaln(i + 1.0) + gammaln(m - i + 1.0) - gammaln(m + 2.0)
 
@@ -97,7 +97,8 @@ _gauss = functools.lru_cache(np.polynomial.legendre.leggauss)
 
 def _polar_fields(pert: PerturbedPotential | None, rho: np.ndarray, theta: np.ndarray):
     """phi and the density D of perturbed_area_density on the polar grid
-    rho x theta, the cutoff and its derivatives taken once per radius."""
+    rho x theta, the sines taken once per node for both and the cutoff's
+    derivatives once per radius."""
     c, s = np.cos(theta), np.sin(theta)
     x, y = rho[:, None] * c, rho[:, None] * s
     base = perturbed_area_density(None, x, y)
@@ -108,7 +109,10 @@ def _polar_fields(pert: PerturbedPotential | None, rho: np.ndarray, theta: np.nd
     # Laplacian of A eta, A = amp sin(2kx) sin(2ky): A (-8k^2 eta + lap eta) + 2 grad A . grad eta
     radial = -8.0 * k * k * pert.cutoff(rho) + pert.cutoff_d2(rho) + d1 / np.maximum(rho, 1e-300)
     lap = amp * (sx * sy * radial[:, None] + (4.0 * k * d1)[:, None] * (cx * sy * c + sx * cy * s))
-    return np.asarray(pert.phi(x + 1j * y), dtype=float), base - lap / (4.0 * math.pi)
+    # phi as pert.phi gives it, bit for bit: its cutoff is taken at |x + iy|,
+    # which differs from rho in the last bit
+    phi = amp * sx * sy * pert.cutoff(np.abs(x + 1j * y))
+    return phi, base - lap / (4.0 * math.pi)
 
 
 def _correction_matrix(model: GramModel) -> np.ndarray:
@@ -157,6 +161,8 @@ def scaled_gram(G: np.ndarray) -> np.ndarray:
 
 def _scaled_factor(G: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of scaled_gram(G), taken once per model."""
+    from scipy.linalg import cholesky
+
     try:
         return cholesky(scaled_gram(G), lower=True)
     except np.linalg.LinAlgError as e:
@@ -167,6 +173,8 @@ def _scaled_factor(G: np.ndarray) -> np.ndarray:
 
 def _log_frame(m: int, r: np.ndarray) -> np.ndarray:
     """log |e_k(z)| (1+|z|^2)^{-m/2} at |z| = r, shape (len(r), m+1)."""
+    from scipy.special import xlogy
+
     log_weight = fs_log_norms(m) + m * np.log1p(r * r)[:, None]
     return xlogy(np.arange(m + 1), r[:, None]) - 0.5 * log_weight
 
@@ -176,6 +184,8 @@ def rho_gram(G: np.ndarray, model: GramModel, z):
     affine-chart points: |L^{-1} v|^2 e^{m phi} in the basis e_k, with L the
     factor of scaled_gram(G) and the weight's root folded into v.  One point
     gives a float, an array of points an array of the same shape."""
+    from scipy.linalg import solve_triangular
+
     m = model.m
     zs = np.asarray(z, dtype=complex).ravel()
     V = np.exp(_log_frame(m, np.abs(zs)) + 1j * np.angle(zs)[:, None] * np.arange(m + 1))
@@ -197,6 +207,8 @@ def rho_gram_field(model: GramModel, G: np.ndarray | None = None,
     with A the inverse of the scaled Gram matrix: one diagonal at a time,
     then d folded mod n_theta and one inverse FFT.  The recorded radius is
     the FS geodesic distance from the chart origin."""
+    from scipy.linalg import cho_solve
+
     if G is None:
         G = gram_matrix(model)
     m = model.m

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .models import RevolutionProfile
 from .potential import PotentialTable, build_potential
@@ -31,6 +30,26 @@ __all__ = [
 ]
 
 _AREA_BLOCK = 2048  # nodes per kernel evaluation in kernel_area_integral
+
+
+def logsumexp(a, axis=None):
+    """log sum exp(a) over an axis (all of a by default), bit for bit the value
+    of scipy.special.logsumexp: every entry equal to the maximum is taken out
+    of the sum and counted, log1p(s/m) + log(m) + max.  Where that is not
+    finite (no finite maximum) the value is log sum exp(a) itself."""
+    a = np.asarray(a, dtype=float)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    top = a == a_max
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        e = np.exp(a - a_max)
+        np.copyto(e, 0.0, where=top)
+        m = np.sum(top, axis=axis, keepdims=True, dtype=float)
+        out = np.log1p(np.sum(e, axis=axis, keepdims=True) / m) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def _log_norms_on(rule, m: int, ks: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "CyclicWeights",
@@ -29,6 +28,9 @@ __all__ = [
 ]
 
 DEFAULT_GRID_NODES = 2048
+_AREA_RULE = np.polynomial.legendre.leggauss(16)
+_AREA_TOL = 1e-13  # area rule: tolerance per panel width, over the profile length
+_AREA_DEPTH = 50   # bisections of a panel before the area quadrature gives up
 CONE_KAPPA = 0.05  # the cone family satisfies -psi'' >= CONE_KAPPA * psi
 
 
@@ -142,11 +144,30 @@ class RevolutionProfile:
     seams: tuple[float, ...] = ()
 
     def area(self) -> float:
-        """Total area 2*pi*int_0^L psi dr."""
-        seams = [s for s in self.seams if 0.0 < s < self.length]
-        val, _ = quad(self.psi, 0.0, self.length, points=seams or None,
-                      epsabs=0.0, epsrel=1e-12, limit=500)
-        return 2.0 * math.pi * val
+        """Total area 2*pi*int_0^L psi dr by adaptive Gauss-Legendre quadrature.
+
+        The panels start at the seams.  A panel is halved while its 16-point
+        value and the sum of the same rule on its halves differ by more than
+        _AREA_TOL * width / L, so a corner off every seam is resolved too.
+        The node terms of the accepted halves are summed exactly rounded."""
+        x, w = _AREA_RULE
+        L = self.length
+        edges = np.array([0.0, *(s for s in self.seams if 0.0 < s < L), L])
+        a, b = edges[:-1], edges[1:]
+        terms = []
+        for _ in range(_AREA_DEPTH):
+            mid = 0.5 * (a + b)
+            lo, hi = np.stack([a, a, mid]), np.stack([b, mid, b])  # whole, left, right
+            half = (0.5 * (hi - lo))[..., None]
+            r = 0.5 * (lo + hi)[..., None] + half * x
+            t = half * w * np.asarray(self.psi(r.ravel()), dtype=float).reshape(r.shape)
+            v = t.sum(axis=2)
+            done = np.abs(v[0] - v[1] - v[2]) <= _AREA_TOL * (b - a) / L
+            terms.append(t[1:, done].ravel())
+            a, b = np.concatenate([a[~done], mid[~done]]), np.concatenate([mid[~done], b[~done]])
+            if not a.size:
+                return 2.0 * math.pi * math.fsum(np.concatenate(terms))
+        raise ArithmeticError(f"profile {self.name!r}: area quadrature did not converge")
 
 
 def _finalize_profile(psi, length, d, slopes, name, seams=()) -> RevolutionProfile:

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import gammainc, gammaln, logsumexp
 
+from .kernels import logsumexp
 from .models import CyclicWeights
 
 __all__ = [
@@ -114,6 +113,8 @@ def degree_cap_for(w: CyclicWeights, z, tol: float) -> int:
 
     Raises if the admissible index count would exceed MAX_ORACLE_INDICES.
     """
+    from scipy.special import gammainc
+
     z = _check_point(w, z)
     lam = math.pi * float(np.sum(np.abs(z) ** 2))
     cap = 1
@@ -141,6 +142,8 @@ def rho_oracle(w: CyclicWeights, z, degree_cap: int) -> OracleResult:
     value = q e^{-pi|z|^2} sum_j pi^{|j|} |z^j|^2 / prod j_l!  over admissible
     multi-indices with |j| <= degree_cap.  Terms are evaluated in log space.
     """
+    from scipy.special import gammainc, gammaln
+
     z = _check_point(w, z)
     s = np.abs(z) ** 2
     lam = math.pi * float(np.sum(s))
@@ -166,6 +169,8 @@ def min_on_ray(w: CyclicWeights, direction, t_max: float, nodes: int = 512) -> t
     Returns (t*, rho*).  The refinement is a bounded golden-section search
     with |dt| tolerance 1e-8.
     """
+    from scipy.optimize import minimize_scalar
+
     r = np.asarray(direction, dtype=float)
     if r.shape != (w.n,) or np.any(r < 0) or not np.any(r > 0):
         raise ValueError("direction must be nonnegative, not all zero, length n")

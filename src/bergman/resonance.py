@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .models import CyclicWeights, make_cyclic_weights
 from .orbifold import min_on_ray, rho_closed
@@ -155,6 +154,8 @@ def _lp_search(w: CyclicWeights) -> ResonanceCertificate | None:
     cosine gap by linear programming over r >= 0, with the sine sum pinned
     away from zero.  Returns the first j (in quality order) that admits a
     strict certificate."""
+    from scipy.optimize import linprog
+
     q, n = w.q, w.n
     thetas = w.phases(np.arange(q))
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)

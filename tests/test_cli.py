@@ -134,6 +134,36 @@ class TestOutputFormat:
         assert "n,m,rho_exact,rho_oracle" in proc.stdout
         assert "2,3,20,20" in proc.stdout
 
+    def test_import_and_sweep_load_no_scipy(self):
+        # SciPy is imported on first use by the orbifold, resonance and Gram
+        # paths only; the import and the revolution path never load it
+        src = str(Path(bergman.__file__).resolve().parents[1])
+        code = ("import sys; import bergman, bergman.cli; "
+                "print(sorted(k for k in sys.modules if k.startswith('scipy'))); "
+                "bergman.cone_sweep([10], [25], n_samples=64); "
+                "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]"]
+
+    def test_repeated_runs_in_one_process(self, tmp_path, capsys):
+        # the parser is built once per process; every call parses afresh
+        assert cli._build_parser() is cli._build_parser()
+        argvs = [["cpn", "--n", "2", "--m", "3"],
+                 ["orbifold-eval", "--weights", "2/4", "--z", "1.0"],
+                 ["revolution", "--m", "9", "--grid", "16"],
+                 ["cpn", "--n", "1"]]
+        results = []
+        for attempt in range(2):
+            for i, argv in enumerate(argvs):
+                out = tmp_path / f"{attempt}-{i}.csv"
+                code = run(argv + ["--out", str(out)])
+                results.append((code, read(out).replace(out.name, "") if out.exists() else None))
+        capsys.readouterr()
+        assert [code for code, _ in results] == [0, 2, 0, 2] * 2
+        assert results[:4] == results[4:]
+
     def test_resonance_ray_is_numeric(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run(["resonance", "--weights", "1/3,1/5", "--out", str(out)]) == 0
@@ -242,6 +272,15 @@ class TestConfigFile:
         assert written[0] == written[1]
         capsys.readouterr()
 
+    def test_integral_float_read_as_int(self, tmp_path):
+        path, out = tmp_path / "run.json", tmp_path / "o.csv"
+        written = []
+        for m in (3, 3.0):
+            path.write_text(json.dumps({"command": "cpn", "n": 1, "m": m, "out": str(out)}))
+            assert run(["config", str(path)]) == 0
+            written.append(read(out))
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("doc", [
         {"command": "cpn", "n": 1, "m": [3]},
         {"command": "cpn", "n": 1, "m": "three"},
@@ -250,6 +289,7 @@ class TestConfigFile:
         {"command": "orbifold-eval", "weights": "1/3", "z": "1.0", "oracle": "false"},
         {"command": "cpn", "n": True, "m": 3},
         {"command": ["cpn"], "n": 1, "m": 3},
+        {"command": "cpn", "n": 1, "m": 3.7},
     ])
     def test_wrongly_typed_value_is_2(self, doc, tmp_path, monkeypatch, capsys):
         ran = []

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
@@ -21,6 +24,7 @@ from bergman.kernels import (
     cpn_fs_oracle,
     kernel_area_integral,
     log_monomial_norms,
+    logsumexp,
     monomial_norms,
     peak_section_tail,
     rho_at_u,
@@ -154,6 +158,33 @@ class TestPotential:
         prof = RevolutionProfile(length=1.0, psi=psi, d=1, cone_slopes=(1.0, apex / (1.0 - apex)))
         with pytest.raises(RuntimeError, match="degree bookkeeping failed"):
             build_potential(prof)
+
+
+# few distinct values, so rows tie at their maximum; -inf entries and whole
+# -inf rows included
+_LSE_ENTRY = st.one_of(st.sampled_from([-math.inf, -2.5, 0.0, 1.0, 3.0]),
+                       st.floats(-800.0, 800.0))
+
+
+class TestLogSumExp:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(_LSE_ENTRY, min_size=n, max_size=n), min_size=1, max_size=6)))
+    def test_bits_equal_scipy(self, rows):
+        a = np.array(rows)
+        for x, axis in ((a, None), (a, 1), (a[0], None)):
+            with np.errstate(divide="ignore"):
+                want = np.asarray(scipy.special.logsumexp(x, axis=axis))
+            got = np.asarray(logsumexp(x, axis=axis))
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_ties_and_infinite_rows(self):
+        a = np.array([[1.0, 1.0, 0.0], [-math.inf] * 3, [2.0, -math.inf, 2.0]])
+        with np.errstate(divide="ignore"):
+            want = scipy.special.logsumexp(a, axis=1)
+        assert logsumexp(a, axis=1).tobytes() == want.tobytes()
+        assert logsumexp(a[1]) == -math.inf
 
 
 class TestMonomialNorms:
