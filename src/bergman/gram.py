@@ -109,8 +109,8 @@ def _polar_fields(pert: PerturbedPotential | None, rho: np.ndarray, theta: np.nd
     # Laplacian of A eta, A = amp sin(2kx) sin(2ky): A (-8k^2 eta + lap eta) + 2 grad A . grad eta
     radial = -8.0 * k * k * pert.cutoff(rho) + pert.cutoff_d2(rho) + d1 / np.maximum(rho, 1e-300)
     lap = amp * (sx * sy * radial[:, None] + (4.0 * k * d1)[:, None] * (cx * sy * c + sx * cy * s))
-    # phi as pert.phi gives it, bit for bit: its cutoff is taken at |x + iy|,
-    # which differs from rho in the last bit
+    # phi as pert.phi gives it, bit for bit: its cutoff is taken at the complex
+    # |x + iy|, from which rho and np.hypot(x, y) differ in the last bit
     phi = amp * sx * sy * pert.cutoff(np.abs(x + 1j * y))
     return phi, base - lap / (4.0 * math.pi)
 

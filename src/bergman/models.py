@@ -28,9 +28,27 @@ __all__ = [
 ]
 
 DEFAULT_GRID_NODES = 2048
-_AREA_RULE = np.polynomial.legendre.leggauss(16)
-_AREA_TOL = 1e-13  # area rule: tolerance per panel width, over the profile length
-_AREA_DEPTH = 50   # bisections of a panel before the area quadrature gives up
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21): the positive nodes, the
+# weights (the last for the centre), and the order in which it adds node pairs
+_K21_NODES = np.array([
+    0.9956571630258080807355272806890028, 0.9739065285171717200779640120844521,
+    0.9301574913557082260012071800595083, 0.8650633666889845107320966884234930,
+    0.7808177265864168970637175783450424, 0.6794095682990244062343273651148736,
+    0.5627571346686046833390000992726941, 0.4333953941292471907992659431657842,
+    0.2943928627014601981311266031038656, 0.1488743389816312108848260011297200,
+])
+_K21_WEIGHTS = np.array([
+    0.1169463886737187427806439606219205e-01, 0.3255816230796472747881897245938976e-01,
+    0.5475589657435199603138130024458018e-01, 0.7503967481091995276704314091619001e-01,
+    0.9312545458369760553506546508336634e-01, 0.1093871588022976418992105903258050,
+    0.1234919762620658510779581098310742, 0.1347092173114733259280540017717068,
+    0.1427759385770600807970942731387171, 0.1477391049013384913748415159720680,
+    0.1494455540029169056649364683898212,
+])
+_K21_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_AREA_TOL = 1e-13     # area rule: tolerance relative to the first pass's integral
+_AREA_DEPTH = 50      # bisections of a panel before the area quadrature gives up
+_AREA_PANELS = 4096   # live panels before it gives up
 CONE_KAPPA = 0.05  # the cone family satisfies -psi'' >= CONE_KAPPA * psi
 
 
@@ -144,30 +162,49 @@ class RevolutionProfile:
     seams: tuple[float, ...] = ()
 
     def area(self) -> float:
-        """Total area 2*pi*int_0^L psi dr by adaptive Gauss-Legendre quadrature.
+        """Total area 2*pi*int_0^L psi dr by adaptive Gauss-Kronrod quadrature.
 
-        The panels start at the seams.  A panel is halved while its 16-point
+        The panels start at the seams.  A panel is halved while its 21-point
         value and the sum of the same rule on its halves differ by more than
-        _AREA_TOL * width / L, so a corner off every seam is resolved too.
-        The node terms of the accepted halves are summed exactly rounded."""
-        x, w = _AREA_RULE
+        _AREA_TOL * |first pass| * width / L, so a corner off every seam is
+        resolved too.  The values of the accepted panels are added from left
+        to right: where every first panel is accepted, and quad accepts its
+        first pass too, this is the sum scipy.integrate.quad(psi, 0, L,
+        points=seams) returns, bit for bit."""
         L = self.length
-        edges = np.array([0.0, *(s for s in self.seams if 0.0 < s < L), L])
+        edges = np.array([0.0, *sorted(s for s in self.seams if 0.0 < s < L), L])
         a, b = edges[:-1], edges[1:]
-        terms = []
+        left, vals, tol = [], [], None
         for _ in range(_AREA_DEPTH):
+            if a.size > _AREA_PANELS:
+                break
             mid = 0.5 * (a + b)
-            lo, hi = np.stack([a, a, mid]), np.stack([b, mid, b])  # whole, left, right
-            half = (0.5 * (hi - lo))[..., None]
-            r = 0.5 * (lo + hi)[..., None] + half * x
-            t = half * w * np.asarray(self.psi(r.ravel()), dtype=float).reshape(r.shape)
-            v = t.sum(axis=2)
-            done = np.abs(v[0] - v[1] - v[2]) <= _AREA_TOL * (b - a) / L
-            terms.append(t[1:, done].ravel())
+            v = _kronrod21(self.psi, np.concatenate([a, a, mid]), np.concatenate([b, mid, b]))
+            whole, lo, hi = v.reshape(3, -1)  # whole, left and right halves
+            if tol is None:
+                tol = _AREA_TOL * abs(whole.sum()) / L
+            done = np.abs(whole - lo - hi) <= tol * (b - a)
+            left.append(a[done])
+            vals.append(whole[done])
             a, b = np.concatenate([a[~done], mid[~done]]), np.concatenate([mid[~done], b[~done]])
             if not a.size:
-                return 2.0 * math.pi * math.fsum(np.concatenate(terms))
+                vals = np.concatenate(vals)[np.argsort(np.concatenate(left))]
+                return 2.0 * math.pi * float(np.cumsum(vals)[-1])  # cumsum adds in order
         raise ArithmeticError(f"profile {self.name!r}: area quadrature did not converge")
+
+
+def _kronrod21(psi, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """qk21's value of int psi on each panel [a_i, b_i], its node terms added
+    in qk21's order."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    absc = h[:, None] * _K21_NODES
+    f = np.asarray(psi(np.concatenate([c, (c[:, None] - absc).ravel(),
+                                       (c[:, None] + absc).ravel()])), dtype=float)
+    fc, (fm, fp) = f[:c.size], f[c.size:].reshape(2, *absc.shape)
+    total = _K21_WEIGHTS[10] * fc
+    for j in _K21_ORDER:
+        total = total + _K21_WEIGHTS[j] * (fm[:, j] + fp[:, j])
+    return total * h
 
 
 def _finalize_profile(psi, length, d, slopes, name, seams=()) -> RevolutionProfile:
