@@ -69,7 +69,7 @@ def lp_deviation(field: KernelField, p: float, n: int = 1) -> float:
     """Volume-normalized L^p norm of m^{-n} rho - 1 over the samples.
 
     Weights are the field's area elements; p = inf gives the sup deviation."""
-    if p < 1:
+    if not p >= 1:  # also rejects NaN
         raise ValueError("p must be >= 1 (or inf)")
     dev = np.abs(field.values / float(field.m) ** n - 1.0)
     if math.isinf(p):

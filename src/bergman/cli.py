@@ -202,7 +202,7 @@ def _cmd_gram(p):
         grows = ["i,j,re,im"]
         for i in range(m + 1):
             for j in range(m + 1):
-                grows.append(f"{i},{j},{G[i, j].real!r},{G[i, j].imag!r}")
+                grows.append(f"{i},{j},{float(G[i, j].real)!r},{float(G[i, j].imag)!r}")
         _emit(_header("gram-matrix", p), grows, p["dump_gram"])
     print(f"gram: cond = {cond:.3e}", file=sys.stderr)
     return 0

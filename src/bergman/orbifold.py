@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 MAX_ORACLE_INDICES = 10_000
+MAX_ORACLE_CANDIDATES = 1 << 21  # keeps admissible_indices under about 150 MB
 _BLOCK_TERMS = 1 << 16  # points x q terms per batched block, bounds the temporaries
 
 
@@ -85,27 +86,26 @@ def rho_closed(w: CyclicWeights, z):
 
 def admissible_indices(w: CyclicWeights, degree_cap: int) -> list[tuple[int, ...]]:
     """Multi-indices j with |j| <= cap and sum_l j_l p_l / q_l integral,
-    in graded lexicographic order."""
+    in graded lexicographic order.
+
+    All comb(cap + n, n) indices with |j| <= cap are built as one array, so
+    more than MAX_ORACLE_CANDIDATES of them raise ValueError."""
     if degree_cap < 0:
         raise ValueError("degree_cap must be >= 0")
+    candidates = math.comb(degree_cap + w.n, w.n)
+    if candidates > MAX_ORACLE_CANDIDATES:
+        raise ValueError(f"degree cap {degree_cap} on C^{w.n} spans {candidates} > "
+                         f"{MAX_ORACLE_CANDIDATES} candidate indices")
     q = w.q
-    weights = [p * (q // ql) for p, ql in w.pairs]
-    n = w.n
-    out = []
-    for deg in range(degree_cap + 1):
-        stack = [((), deg, 0)]
-        while stack:
-            prefix, rem, acc = stack.pop()
-            if len(prefix) == n - 1:
-                j = prefix + (rem,)
-                if (acc + rem * weights[n - 1]) % q == 0:
-                    out.append(j)
-                continue
-            l = len(prefix)
-            # push in reverse so lexicographic order pops first
-            for jl in range(rem, -1, -1):
-                stack.append((prefix + (jl,), rem - jl, acc + jl * weights[l]))
-    return out
+    weights = np.array([p * (q // ql) for p, ql in w.pairs])
+    j = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(w.n):  # append a column of every value that keeps |j| <= cap
+        room = degree_cap + 1 - j.sum(axis=1)
+        rows = np.repeat(np.arange(len(j)), room)
+        j = np.column_stack((j[rows], np.arange(rows.size) - (np.cumsum(room) - room)[rows]))
+    j = j[j @ weights % q == 0]  # lexicographic order so far
+    j = j[np.argsort(j.sum(axis=1), kind="stable")]
+    return list(map(tuple, j.tolist()))
 
 
 def degree_cap_for(w: CyclicWeights, z, tol: float) -> int:
@@ -176,11 +176,9 @@ def min_on_ray(w: CyclicWeights, direction, t_max: float, nodes: int = 512) -> t
         raise ValueError("direction must be nonnegative, not all zero, length n")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    if nodes < 1:
+        raise ValueError("nodes must be >= 1")
     sq = np.sqrt(r)
-
-    def f(t):
-        return rho_closed(w, t * sq)
-
     ts = np.linspace(t_max / nodes, t_max, nodes)
     vals = rho_closed(w, ts[:, None] * sq)
     i = int(np.argmin(vals))
@@ -188,8 +186,8 @@ def min_on_ray(w: CyclicWeights, direction, t_max: float, nodes: int = 512) -> t
     hi = ts[min(i + 1, nodes - 1)]
     if lo == hi:
         return float(ts[i]), float(vals[i])
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-8})
+    res = minimize_scalar(lambda t: rho_closed(w, t * sq), bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-8})
     t_best, v_best = float(res.x), float(res.fun)
     if vals[i] < v_best:
         t_best, v_best = float(ts[i]), float(vals[i])

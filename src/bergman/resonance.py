@@ -54,6 +54,12 @@ def _sin_sum(w: CyclicWeights, r: np.ndarray, j: int) -> float:
     return float(np.sin(w.phases(j)) @ r)
 
 
+def _rivals(q: int, j: int) -> np.ndarray:
+    """The characters a certificate at j must beat: {1..q-1} minus {j, q-j}."""
+    k = np.arange(1, q)
+    return k[(k != j) & (k != q - j)]
+
+
 def verify_certificate(w: CyclicWeights, cert: ResonanceCertificate):
     """Exhaustive check of both certificate conditions.
 
@@ -65,24 +71,23 @@ def verify_certificate(w: CyclicWeights, cert: ResonanceCertificate):
     if not (1 <= j <= w.q - 1):
         return False, -math.inf, set()
     S = _cos_sums(w, r)
-    excluded = {j, w.q - j}
-    gaps = [S[j] - S[k] for k in range(1, w.q) if k not in excluded]
-    margin = min(gaps) if gaps else math.inf
-    top = max(S[1:])
-    argmax = {k for k in range(1, w.q) if S[k] >= top - 1e-12}
-    ok = (margin > 0) and (argmax == excluded) and abs(_sin_sum(w, r, j)) >= SIN_MIN
-    return bool(ok), float(margin), argmax
+    margin = float(np.min(S[j] - S[_rivals(w.q, j)], initial=math.inf))
+    argmax = set((np.flatnonzero(S[1:] >= S[1:].max() - 1e-12) + 1).tolist())
+    ok = (margin > 0) and (argmax == {j, w.q - j}) and abs(_sin_sum(w, r, j)) >= SIN_MIN
+    return bool(ok), margin, argmax
+
+
+def _certify(w: CyclicWeights, r: np.ndarray, j: int) -> ResonanceCertificate | None:
+    """The certificate (r, j) with its margin and sine sum, or None if it
+    fails the exhaustive verifier."""
+    cert = ResonanceCertificate(tuple(r), j, 0.0, _sin_sum(w, r, j))
+    ok, margin, _ = verify_certificate(w, cert)
+    return ResonanceCertificate(cert.r, j, margin, cert.sin_sum) if ok else None
 
 
 def _base_case(w: CyclicWeights) -> ResonanceCertificate:
     """Some q_l equals q: put all weight on that coordinate and invert p_l."""
-    best = None
-    for l, (p, ql) in enumerate(w.pairs):
-        if ql == w.q:
-            j = pow(p, -1, w.q)
-            if best is None or j < best[0]:
-                best = (j, l)
-    j, l = best
+    j, l = min((pow(p, -1, w.q), l) for l, (p, ql) in enumerate(w.pairs) if ql == w.q)
     r = np.zeros(w.n)
     r[l] = 1.0
     _, margin, _ = verify_certificate(w, ResonanceCertificate(tuple(r), j, 0.0, 0.0))
@@ -96,38 +101,26 @@ def _combine(w: CyclicWeights, order: list[int], sub: ResonanceCertificate,
     cosine at j = b q' + j', and the new ray weight from the explicit
     feasibility interval; returns None if no strict certificate of this shape
     exists."""
-    n = w.n
     q = w.q
-    r_head = np.zeros(n)
-    for i, l in enumerate(order[:-1]):
-        r_head[l] = sub.r[i]
-    S_head = _cos_sums(w, r_head)  # last coordinate has weight 0 here
-    theta_last = w.phases(np.arange(q))[:, order[-1]]
-    cos_last, sin_last = np.cos(theta_last), np.sin(theta_last)
+    r_head = np.zeros(w.n)
+    r_head[order[:-1]] = sub.r
+    cos_all = np.cos(w.phases(np.arange(q)))
+    S_head = cos_all @ r_head  # last coordinate has weight 0 here
+    cos_last = cos_all[:, order[-1]]
 
-    n_blocks = q // q_prime
-    candidates = sorted(
-        (b * q_prime + sub.j for b in range(n_blocks)),
-        key=lambda j: (-cos_last[j], j),
-    )
-    for j in candidates:
-        excluded = {j, q - j}
-        lower, upper = 0.0, math.inf
-        feasible = True
-        for k in range(1, q):
-            if k in excluded:
-                continue
-            dc = cos_last[j] - cos_last[k]
-            dh = S_head[j] - S_head[k]
-            if abs(dc) < 1e-12:
-                if dh <= 1e-12:
-                    feasible = False
-                    break
-            elif dc > 0:
-                lower = max(lower, -dh / dc)
-            else:
-                upper = min(upper, -dh / dc)
-        if not feasible or lower >= upper:
+    candidates = np.arange(sub.j, q, q_prime)  # j = b q' + j' for every block b
+    for j in candidates[np.argsort(-cos_last[candidates], kind="stable")].tolist():
+        k = _rivals(q, j)
+        dc = cos_last[j] - cos_last[k]
+        dh = S_head[j] - S_head[k]
+        flat = np.abs(dc) < 1e-12
+        if np.any(flat & (dh <= 1e-12)):
+            continue
+        # S(j) - S(k) = dh + r_n dc > 0 bounds r_n below where dc > 0, above where dc < 0
+        up, down = ~flat & (dc > 0), ~flat & (dc < 0)
+        lower = np.max(-dh[up] / dc[up], initial=0.0)
+        upper = np.min(-dh[down] / dc[down], initial=math.inf)
+        if lower >= upper:
             continue
         # pick a point well inside the interval
         if math.isinf(upper):
@@ -137,12 +130,9 @@ def _combine(w: CyclicWeights, order: list[int], sub: ResonanceCertificate,
         for attempt in range(3):
             r = r_head.copy()
             r[order[-1]] = r_n
-            sin_sum = _sin_sum(w, r, j)
-            if abs(sin_sum) >= SIN_MIN:
-                cert = ResonanceCertificate(tuple(r), j, 0.0, sin_sum)
-                ok, margin, _ = verify_certificate(w, cert)
-                if ok:
-                    return ResonanceCertificate(tuple(r), j, margin, sin_sum)
+            cert = _certify(w, r, j)
+            if cert is not None:
+                return cert
             # sine degenerate at this weight: nudge within the interval
             r_n = lower + (upper - lower) * (0.25 + 0.25 * attempt) if math.isfinite(upper) \
                 else lower + 1.0 + 0.5 * (attempt + 1)
@@ -159,40 +149,30 @@ def _lp_search(w: CyclicWeights) -> ResonanceCertificate | None:
     q, n = w.q, w.n
     thetas = w.phases(np.arange(q))
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    # variables: r_1..r_n, t; maximize t subject to (S(k)-S(j)) + t <= 0
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    bounds = [(0.0, None)] * n + [(None, 1.0)]
 
-    def quality(j):
-        return -np.sum(cos_t[j])  # prefer characters with large cosines
-
-    for j in sorted(range(1, q), key=lambda j: (quality(j), j)):
+    # prefer characters with large cosines
+    for j in (np.argsort(-cos_t[1:].sum(axis=1), kind="stable") + 1).tolist():
         if np.all(np.abs(sin_t[j]) < 1e-12):
             continue
-        rows = [cos_t[k] - cos_t[j] for k in range(1, q) if k not in (j, q - j)]
+        k = _rivals(q, j)
+        A_ub = np.column_stack((cos_t[k] - cos_t[j], np.ones(k.size))) if k.size else None
+        b_ub = np.zeros(k.size) if k.size else None
         for sign in (1.0, -1.0):
-            # variables: r_1..r_n, t; maximize t
-            c = np.zeros(n + 1)
-            c[-1] = -1.0
-            A_ub = []
-            b_ub = []
-            for row in rows:
-                A_ub.append(np.append(row, 1.0))  # (S(k)-S(j)) + t <= 0
-                b_ub.append(0.0)
-            A_eq = [np.append(sign * sin_t[j], 0.0)]
-            b_eq = [1.0]
-            bounds = [(0.0, None)] * n + [(None, 1.0)]
-            res = linprog(c, A_ub=np.array(A_ub) if A_ub else None,
-                          b_ub=np.array(b_ub) if b_ub else None,
-                          A_eq=np.array(A_eq), b_eq=np.array(b_eq),
+            res = linprog(c, A_ub=A_ub, b_ub=b_ub,
+                          A_eq=np.append(sign * sin_t[j], 0.0)[None], b_eq=np.array([1.0]),
                           bounds=bounds, method="highs")
             if not res.success:
                 continue
             t_star = -res.fun
-            if rows and t_star <= 1e-9:
+            if k.size and t_star <= 1e-9:
                 continue
-            r = np.maximum(res.x[:n], 0.0)
-            cert = ResonanceCertificate(tuple(r), j, 0.0, _sin_sum(w, r, j))
-            ok, margin, _ = verify_certificate(w, cert)
-            if ok:
-                return ResonanceCertificate(tuple(r), j, margin, cert.sin_sum)
+            cert = _certify(w, np.maximum(res.x[:n], 0.0), j)
+            if cert is not None:
+                return cert
     return None
 
 
@@ -223,10 +203,8 @@ def construct_certificate(w: CyclicWeights) -> ResonanceCertificate:
 
 
 def _construct_recursive(w: CyclicWeights) -> ResonanceCertificate | None:
-    if any(ql == w.q for _, ql in w.pairs):
+    if any(ql == w.q for _, ql in w.pairs):  # always so in one dimension
         return _base_case(w)
-    if w.n == 1:
-        return _base_case(w)  # q_1 == q always in one dimension
 
     # order coordinates so that a maximal 2-adic order comes first
     def v2(x):
@@ -249,13 +227,8 @@ def _construct_recursive(w: CyclicWeights) -> ResonanceCertificate | None:
         if sub is not None:
             if q_ratio == 1:
                 r = np.zeros(w.n)
-                for i, l in enumerate(order[:-1]):
-                    r[l] = sub.r[i]
-                cert = ResonanceCertificate(tuple(r), sub.j, 0.0, _sin_sum(w, r, sub.j))
-                ok, margin, _ = verify_certificate(w, cert)
-                if ok:
-                    return ResonanceCertificate(tuple(r), sub.j, margin, cert.sin_sum)
-                return None
+                r[order[:-1]] = sub.r
+                return _certify(w, r, sub.j)
             combined = _combine(w, order, sub, q_prime)
             if combined is not None:
                 return combined

@@ -97,8 +97,9 @@ class TestLpDeviation:
 
     def test_validation(self):
         fld = rho_revolution(round_sphere(), 3)
-        with pytest.raises(ValueError):
-            lp_deviation(fld, 0.5)
+        for bad in (0.5, math.nan):
+            with pytest.raises(ValueError):
+                lp_deviation(fld, bad)
 
 
 class TestFsCurrent:

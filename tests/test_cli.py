@@ -11,6 +11,7 @@ import pytest
 import bergman
 from bergman import cli
 from bergman.cli import RunConfig, parse_config, run
+from bergman.gram import GramModel, gram_matrix
 from bergman.models import PerturbedPotential
 
 
@@ -67,6 +68,21 @@ class TestExitCodes:
         dev = float(read(out).splitlines()[-1].split(",")[-1])
         assert math.isfinite(dev) and dev > 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("nodes", ["0", "-3"])
+    def test_ray_without_nodes_is_2(self, nodes, capsys):
+        assert run(["orbifold-ray", "--weights", "1/3", "--direction", "1",
+                    "--nodes", nodes]) == 2
+        assert "nodes must be >= 1" in capsys.readouterr().err
+
+    def test_nan_p_is_2(self, capsys):
+        assert run(["lp", "--m", "3", "--p", "nan"]) == 2
+        assert "p must be >= 1" in capsys.readouterr().err
+
+    def test_oracle_beyond_candidate_budget_is_2(self, capsys):
+        assert run(["orbifold-eval", "--weights", "1/3,1/3,1/3", "--z", "6,6,6",
+                    "--oracle"]) == 2
+        assert "candidate indices" in capsys.readouterr().err
 
     def test_no_command_is_2(self, capsys):
         assert run([]) == 2
@@ -205,6 +221,17 @@ class TestOutputFormat:
             assert set(fields) == keys
             assert 1.0 <= float(fields["scaled_cond"]) < 1.1
         assert abs(float(fields["residual"])) < 1e-6
+
+    def test_gram_dump_holds_numbers(self, tmp_path, capsys):
+        dump = tmp_path / "G.csv"
+        assert run(["gram", "--m", "8", "--pert", "6", "--dump-gram", str(dump)]) == 0
+        capsys.readouterr()
+        G = gram_matrix(GramModel(8, PerturbedPotential(6)))
+        rows = [ln for ln in read(dump).splitlines() if not ln.startswith("#")][1:]
+        assert len(rows) == G.size
+        for row in rows:
+            i, j, re, im = row.split(",")
+            assert complex(float(re), float(im)) == G[int(i), int(j)]
 
     def test_cone_sweep_csv(self, tmp_path):
         out = tmp_path / "s.csv"

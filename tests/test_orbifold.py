@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -88,6 +89,35 @@ class TestAdmissibleIndices:
         w = make_cyclic_weights([(1, 2)])
         with pytest.raises(ValueError):
             admissible_indices(w, -1)
+
+    def test_matches_product_reference(self):
+        # every j in [0, cap]^n with |j| <= cap and sum_l j_l p_l / q_l
+        # integral, sorted by (|j|, j); rho_oracle's logsumexp sums in this order
+        rng = np.random.default_rng(3)
+        checked = 0
+        while checked < 150:
+            n = int(rng.integers(1, 4))
+            qs = rng.integers(2, 13, size=n)
+            pairs = [(int(rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])), int(q))
+                     for q in qs]
+            w = make_cyclic_weights(pairs)
+            if w.q > 60:
+                continue
+            cap = int(rng.integers(0, 13))
+            ref = sorted((j for j in itertools.product(range(cap + 1), repeat=n)
+                          if sum(j) <= cap
+                          and sum(jl * p * (w.q // q) for jl, (p, q) in zip(j, w.pairs)) % w.q == 0),
+                         key=lambda j: (sum(j), j))
+            assert admissible_indices(w, cap) == ref, (w.pairs, cap)
+            checked += 1
+
+    def test_candidate_budget(self):
+        # comb(2003, 3) candidates would take gigabytes: refused before building
+        w = make_cyclic_weights([(1, 3), (1, 3), (1, 3)])
+        with pytest.raises(ValueError, match="candidate indices"):
+            admissible_indices(w, 2000)
+        with pytest.raises(ValueError, match="candidate indices"):
+            degree_cap_for(w, [6.0, 6.0, 6.0], 1e-12)
 
 
 class TestOracle:

@@ -64,6 +64,17 @@ class TestConstruction:
         assert ok and margin > 0
         assert argmax == {cert.j, w.q - cert.j}
 
+    @pytest.mark.parametrize("pairs,j,r", [
+        ([(1, 3)], 1, (1.0,)),                                            # base case
+        ([(1, 8), (1, 12), (1, 3)], 1, (1.0, 6.478215600015481, 0.0)),    # q / q' = 1
+        ([(1, 4), (1, 3)], 9, (1.0, 1.6666666666666667)),                 # _combine
+        ([(1, 2), (1, 3)], 4, (1.3660254037844375, 1.1547005383792508)),  # LP fallback
+    ])
+    def test_pinned_certificate_per_branch(self, pairs, j, r):
+        cert = construct_certificate(make_cyclic_weights(pairs))
+        assert cert.j == j
+        assert cert.r == pytest.approx(r, rel=1e-12, abs=0.0)
+
     def test_q_too_small_rejected(self):
         with pytest.raises(ValueError):
             construct_certificate(make_cyclic_weights([(1, 2)]))
