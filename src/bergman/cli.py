@@ -172,7 +172,8 @@ def _cmd_revolution(p):
     lines = _header("revolution", p) + [
         f"inf={fld.inf!r} sup={fld.sup!r} argmin_r={fld.argmin_r!r} "
         f"integral={fld.integral!r}",
-        f"health: residual={fld.integral - (m * d + 1)!r} table_error={table.error!r}"]
+        f"health: residual={fld.integral - (m * d + 1)!r} table_error={table.error!r} "
+        f"tail_bound={fld.tail_bound!r}"]
     rows = ["r,rho"] + [f"{float(r)!r},{float(v)!r}" for r, v in zip(fld.r, fld.values)]
     _emit(lines, rows, p["out"])
     print(f"rho_{m}: inf={fld.inf:.9f} sup={fld.sup:.9f} "
@@ -251,7 +252,7 @@ def _cmd_lp(p):
         prof = _profile_from_params(p["profile"], p["d"], p["k"])
         table = build_potential(prof)
         fld = rho_revolution(prof, m, table=table)
-        lines.append(f"health: table_error={table.error!r}")
+        lines.append(f"health: table_error={table.error!r} tail_bound={fld.tail_bound!r}")
     dev = lp_deviation(fld, pexp)
     rows = ["p,deviation", f"{pexp},{dev!r}"]
     _emit(lines, rows, p["out"])
@@ -263,11 +264,12 @@ def _cmd_fscurrent(p):
     m_list = _parse_ints(p["m_list"])
     prof = _profile_from_params(p["profile"], p["d"], p["k"])
     table = build_potential(prof)
-    rows = ["m,sup_log_rho_over_m"]
+    rows, tail = ["m,sup_log_rho_over_m"], 0.0
     for m in m_list:
         fld = rho_revolution(prof, m, table=table)
         rows.append(f"{m},{fs_current_sup(fld)!r}")
-    _emit(_header("fscurrent", p) + [f"health: table_error={table.error!r}"],
+        tail = max(tail, fld.tail_bound)
+    _emit(_header("fscurrent", p) + [f"health: table_error={table.error!r} tail_bound={tail!r}"],
           rows, p["out"])
     return 0
 

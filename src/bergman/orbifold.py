@@ -31,10 +31,13 @@ _BLOCK_TERMS = 1 << 16  # points x q terms per batched block, bounds the tempora
 
 
 def _check_point(w: CyclicWeights, z, batch: bool = False) -> np.ndarray:
-    """z as a complex array of shape (n,), or also (N, n) when batch is set."""
+    """z as a finite complex array of shape (n,), or also (N, n) when batch
+    is set."""
     z = np.asarray(z, dtype=complex)
     if z.shape[-1:] != (w.n,) or z.ndim not in ((1, 2) if batch else (1,)):
         raise ValueError(f"point must have length n={w.n}, got shape {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("point must be finite")
     return z
 
 
@@ -172,10 +175,10 @@ def min_on_ray(w: CyclicWeights, direction, t_max: float, nodes: int = 512) -> t
     from scipy.optimize import minimize_scalar
 
     r = np.asarray(direction, dtype=float)
-    if r.shape != (w.n,) or np.any(r < 0) or not np.any(r > 0):
-        raise ValueError("direction must be nonnegative, not all zero, length n")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if r.shape != (w.n,) or not np.all(np.isfinite(r)) or np.any(r < 0) or not np.any(r > 0):
+        raise ValueError("direction must be finite, nonnegative, not all zero, length n")
+    if not 0.0 < t_max < math.inf:  # also rejects NaN
+        raise ValueError("t_max must be positive and finite")
     if nodes < 1:
         raise ValueError("nodes must be >= 1")
     sq = np.sqrt(r)

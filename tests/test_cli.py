@@ -84,6 +84,20 @@ class TestExitCodes:
                     "--oracle"]) == 2
         assert "candidate indices" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv, message", [
+        (["orbifold-eval", "--weights", "1/3", "--z", "nan", "--oracle"], "point must be finite"),
+        (["orbifold-eval", "--weights", "1/3,1/5", "--z", "1,inf"], "point must be finite"),
+        (["orbifold-ray", "--weights", "1/3", "--direction", "1", "--tmax", "nan"],
+         "t_max must be positive and finite"),
+        (["orbifold-ray", "--weights", "1/3", "--direction", "1", "--tmax", "inf"],
+         "t_max must be positive and finite"),
+    ])
+    def test_non_finite_orbifold_input_is_2(self, argv, message, capsys):
+        assert run(argv) == 2
+        cap = capsys.readouterr()
+        assert message in cap.err and "Warning" not in cap.err and cap.out == ""
+
     def test_no_command_is_2(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
@@ -200,12 +214,45 @@ class TestOutputFormat:
         assert la == lb
 
     def test_revolution_health_header(self, tmp_path):
+        # m = 9 fits one block (no band, bound 0); at m = 60 the norms and
+        # the area integral are banded
         out = tmp_path / "r.csv"
-        assert run(["revolution", "--m", "9", "--grid", "16", "--out", str(out)]) == 0
+        for m, banded in ((9, False), (60, True)):
+            assert run(["revolution", "--m", str(m), "--grid", "16", "--out", str(out)]) == 0
+            health = [ln for ln in read(out).splitlines() if ln.startswith("# health: ")]
+            fields = dict(f.split("=") for f in health[0].removeprefix("# health: ").split())
+            assert abs(float(fields["residual"])) < 1e-9
+            assert 0.0 < float(fields["table_error"]) < 1e-10
+            assert (float(fields["tail_bound"]) > 0.0) == banded
+            assert float(fields["tail_bound"]) <= 1e-16
+        for argv in (["fscurrent", "--m-list", "10,60"], ["lp", "--m", "60"]):
+            assert run(argv + ["--out", str(out)]) == 0
+            health = [ln for ln in read(out).splitlines() if ln.startswith("# health: ")]
+            fields = dict(f.split("=") for f in health[0].removeprefix("# health: ").split())
+            assert set(fields) == {"table_error", "tail_bound"}
+            assert 0.0 < float(fields["tail_bound"]) <= 1e-16
+
+    def test_large_degree_in_bounded_memory(self, tmp_path):
+        # m d + 1 = 2501 monomials on about 28000 nodes: the dense sums would
+        # take about 1.7 GB
+        src = str(Path(bergman.__file__).resolve().parents[1])
+        out = tmp_path / "d.csv"
+        # the child's own peak RSS (VmHWM): getrusage's ru_maxrss would also
+        # count this process, whose high-water mark the child inherits
+        code = ("from bergman.cli import run; "
+                "code = run(['revolution', '--profile', 'cone', '--k', '10', '--d', '500', "
+                f"'--m', '5', '--out', {str(out)!r}]); "
+                "print(code, int(next(ln.split()[1] for ln in open('/proc/self/status') "
+                "if ln.startswith('VmHWM'))) / 1024)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=300, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        code, rss_mb = proc.stdout.split()[-2:]
+        assert code == "0" and float(rss_mb) < 100.0, f"peak RSS {rss_mb} MB"
         health = [ln for ln in read(out).splitlines() if ln.startswith("# health: ")]
         fields = dict(f.split("=") for f in health[0].removeprefix("# health: ").split())
-        assert abs(float(fields["residual"])) < 1e-9
-        assert 0.0 < float(fields["table_error"]) < 1e-10
+        assert abs(float(fields["residual"])) < 1e-6 * 2501
+        assert float(fields["tail_bound"]) <= 1e-16
 
     def test_gram_path_health_header(self, tmp_path):
         # the scaled Gram matrix is near the identity; the field integral is
