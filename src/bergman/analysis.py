@@ -10,8 +10,7 @@ from io import StringIO
 import numpy as np
 
 from .kernels import KernelField, rho_revolution
-from .models import RevolutionProfile, make_cone_family, rescale_to_area
-from .orbifold import rho_closed
+from .models import RevolutionProfile, make_cone_family, make_cyclic_weights, rescale_to_area
 from .potential import build_potential
 from .resonance import construct_certificate, find_subunity_point
 
@@ -93,7 +92,6 @@ def flat_z3_witness_value() -> float:
     """Kernel value at the first resonance phase of the flat C/Z_3 model.
 
     This is the epsilon witness the sweep verdicts compare against."""
-    from .models import make_cyclic_weights
     w = make_cyclic_weights([(1, 3)])
     cert = construct_certificate(w)
     wit = find_subunity_point(w, cert)

@@ -181,10 +181,10 @@ def _cmd_revolution(p):
     return 0
 
 
-def _scaled_cond(G):
-    """Health line of the Gram path: the condition of the matrix it factors."""
+def _scaled_cond(G) -> float:
+    """Condition number of the matrix the Gram path factors."""
     lam = np.linalg.eigvalsh(scaled_gram(G))
-    return f"health: scaled_cond={float(lam[-1] / lam[0])!r}"
+    return float(lam[-1] / lam[0])
 
 
 def _cmd_gram(p):
@@ -193,11 +193,11 @@ def _cmd_gram(p):
     pert = PerturbedPotential(pk) if pk else None
     model = GramModel(m, pert)
     G = gram_matrix(model)
-    cond = float(np.linalg.cond(G))
+    cond = _scaled_cond(G)
     zs = _parse_complexes(p["z"])
     rhos = rho_gram(G, model, np.array(zs))
     rows = ["z,rho"] + [f"{z!r},{float(rho)!r}" for z, rho in zip(zs, rhos)]
-    lines = _header("gram", p) + [f"condition_number: {cond!r}", _scaled_cond(G)]
+    lines = _header("gram", p) + [f"health: scaled_cond={cond!r}"]
     _emit(lines, rows, p["out"])
     if p["dump_gram"]:
         grows = ["i,j,re,im"]
@@ -205,7 +205,7 @@ def _cmd_gram(p):
             for j in range(m + 1):
                 grows.append(f"{i},{j},{float(G[i, j].real)!r},{float(G[i, j].imag)!r}")
         _emit(_header("gram-matrix", p), grows, p["dump_gram"])
-    print(f"gram: cond = {cond:.3e}", file=sys.stderr)
+    print(f"gram: scaled_cond = {cond:.3e}", file=sys.stderr)
     return 0
 
 
@@ -247,12 +247,14 @@ def _cmd_lp(p):
         model = GramModel(m, PerturbedPotential(pk))
         G = gram_matrix(model)
         fld = rho_gram_field(model, G)
-        lines.append(f"{_scaled_cond(G)} residual={fld.integral - (m + 1)!r}")
+        lines.append(f"health: scaled_cond={_scaled_cond(G)!r} "
+                     f"residual={fld.integral - (m + 1)!r}")
     else:
         prof = _profile_from_params(p["profile"], p["d"], p["k"])
         table = build_potential(prof)
         fld = rho_revolution(prof, m, table=table)
-        lines.append(f"health: table_error={table.error!r} tail_bound={fld.tail_bound!r}")
+        lines.append(f"health: residual={fld.integral - (m * prof.d + 1)!r} "
+                     f"table_error={table.error!r} tail_bound={fld.tail_bound!r}")
     dev = lp_deviation(fld, pexp)
     rows = ["p,deviation", f"{pexp},{dev!r}"]
     _emit(lines, rows, p["out"])
@@ -264,13 +266,14 @@ def _cmd_fscurrent(p):
     m_list = _parse_ints(p["m_list"])
     prof = _profile_from_params(p["profile"], p["d"], p["k"])
     table = build_potential(prof)
-    rows, tail = ["m,sup_log_rho_over_m"], 0.0
+    rows, resid, tail = ["m,sup_log_rho_over_m"], 0.0, 0.0
     for m in m_list:
         fld = rho_revolution(prof, m, table=table)
         rows.append(f"{m},{fs_current_sup(fld)!r}")
+        resid = max(resid, fld.integral - (m * prof.d + 1), key=abs)
         tail = max(tail, fld.tail_bound)
-    _emit(_header("fscurrent", p) + [f"health: table_error={table.error!r} tail_bound={tail!r}"],
-          rows, p["out"])
+    _emit(_header("fscurrent", p) + [f"health: residual={resid!r} table_error={table.error!r} "
+                                     f"tail_bound={tail!r}"], rows, p["out"])
     return 0
 
 

@@ -61,18 +61,23 @@ def fs_log_norms(m: int) -> np.ndarray:
     return gammaln(i + 1.0) + gammaln(m - i + 1.0) - gammaln(m + 2.0)
 
 
-def perturbed_area_density(pert: PerturbedPotential | None, x, y):
-    """Density D of the area form D dx dy: FS base minus Laplacian(phi)/(4 pi).
+def _phi_density(pert: PerturbedPotential | None, x, y, rho):
+    """phi and the density D of the area form D dx dy at x + iy with
+    rho = |x + iy|, broadcast: the FS base minus Laplacian(phi)/(4 pi).
 
     The curvature-form convention ties the metric to the potential as
     omega = omega_FS - (i/2 pi) d dbar phi."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = x * x + y * y
-    base = 1.0 / (math.pi * (1.0 + s) ** 2)
+    base = 1.0 / (math.pi * (1.0 + x * x + y * y) ** 2)
     if pert is None:
-        return base
-    return base - pert.laplacian_phi(x + 1j * y) / (4.0 * math.pi)
+        return np.zeros_like(base), base
+    phi, lap = pert.fields(x, y, rho)
+    return phi, base - lap / (4.0 * math.pi)
+
+
+def perturbed_area_density(pert: PerturbedPotential | None, x, y):
+    """Density D of the area form D dx dy at the points x + iy."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return _phi_density(pert, x, y, np.hypot(x, y))[1]
 
 
 def perturbed_scalar_curvature(pert: PerturbedPotential | None, x: float, y: float,
@@ -95,24 +100,11 @@ def perturbed_scalar_curvature(pert: PerturbedPotential | None, x: float, y: flo
 _gauss = functools.lru_cache(np.polynomial.legendre.leggauss)
 
 
-def _polar_fields(pert: PerturbedPotential | None, rho: np.ndarray, theta: np.ndarray):
-    """phi and the density D of perturbed_area_density on the polar grid
-    rho x theta, the sines taken once per node for both and the cutoff's
-    derivatives once per radius."""
-    c, s = np.cos(theta), np.sin(theta)
-    x, y = rho[:, None] * c, rho[:, None] * s
-    base = perturbed_area_density(None, x, y)
-    if pert is None:
-        return np.zeros_like(x), base
-    k, amp, d1 = pert.k, -pert.k ** -4.0, pert.cutoff_d1(rho)
-    sx, cx, sy, cy = np.sin(2 * k * x), np.cos(2 * k * x), np.sin(2 * k * y), np.cos(2 * k * y)
-    # Laplacian of A eta, A = amp sin(2kx) sin(2ky): A (-8k^2 eta + lap eta) + 2 grad A . grad eta
-    radial = -8.0 * k * k * pert.cutoff(rho) + pert.cutoff_d2(rho) + d1 / np.maximum(rho, 1e-300)
-    lap = amp * (sx * sy * radial[:, None] + (4.0 * k * d1)[:, None] * (cx * sy * c + sx * cy * s))
-    # phi as pert.phi gives it, bit for bit: its cutoff is taken at the complex
-    # |x + iy|, from which rho and np.hypot(x, y) differ in the last bit
-    phi = amp * sx * sy * pert.cutoff(np.abs(x + 1j * y))
-    return phi, base - lap / (4.0 * math.pi)
+def _polar(rho: np.ndarray, n_theta: int):
+    """(x, y, rho) on the grid rho x (n_theta equispaced angles), rho as a
+    column so that the cutoff is taken once per radius."""
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    return rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta), rho[:, None]
 
 
 def _correction_matrix(model: GramModel) -> np.ndarray:
@@ -124,7 +116,7 @@ def _correction_matrix(model: GramModel) -> np.ndarray:
     rho = 0.5 * (xg + 1.0)
     wr = 0.5 * wg * rho  # includes the Jacobian rho
     nt = model.n_theta
-    phi, D = _polar_fields(model.pert, rho, 2.0 * math.pi * np.arange(nt) / nt)
+    phi, D = _phi_density(model.pert, *_polar(rho, nt))
     s = (rho * rho)[:, None]
     W = (1.0 + s) ** (-m) * (np.exp(m * phi) * D - 1.0 / (math.pi * (1.0 + s) ** 2))
     # angular transform: A[r, d] = int W e^{-i d theta} d theta
@@ -222,7 +214,7 @@ def rho_gram_field(model: GramModel, G: np.ndarray | None = None,
     c = np.stack([(a[:, :m + 1 - d] * a[:, d:]) @ np.diagonal(A, d) for d in range(m + 1)], axis=1)
     c[:, 0] = 0.5 * c[:, 0].real  # v* A v = 2 Re sum_{d >= 0} c_d e^{i d theta}, c_0 halved
     c = np.pad(c, ((0, 0), (0, -(m + 1) % n_theta))).reshape(n_lat, -1, n_theta).sum(axis=1)
-    phi, D = _polar_fields(model.pert, r, 2.0 * math.pi * np.arange(n_theta) / n_theta)
+    phi, D = _phi_density(model.pert, *_polar(r, n_theta))
     vals = 2.0 * n_theta * np.fft.ifft(c, axis=1).real * np.exp(m * phi)
     vals = _finite(vals, "kernel field").ravel()
     # dx dy = r dr d theta = dt d theta / (1+t)^2

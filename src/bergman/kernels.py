@@ -166,10 +166,13 @@ def _log_rho(u, phi, m: int, log_norms: np.ndarray):
 
 
 def rho_at_u(table: PotentialTable, m: int, u, log_norms: np.ndarray | None = None):
-    """Kernel rho_m(u) = sum_k e^{2ku - 2 pi m phi(u)} / N_k, in log space."""
+    """Kernel rho_m(u) = sum_k e^{2ku - 2 pi m phi(u)} / N_k, in log space,
+    at points u in the table's window [u_min, u_max]."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if not np.all((u >= table.u_min) & (u <= table.u_max)):  # NaN fails too
+        raise ValueError(f"u must lie in [{table.u_min!r}, {table.u_max!r}]")
     if log_norms is None:
         log_norms = log_monomial_norms(table, m)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     return np.exp(_log_rho(u, np.asarray(table.phi(u), dtype=float), m, log_norms)[0])
 
 
@@ -234,12 +237,13 @@ def rho_revolution(profile: RevolutionProfile, m: int, points=None,
     log_vals, tail = _log_rho(u, phi, m, log_norms)
     vals = np.exp(log_vals)
     tails.append(tail)
-    # trapezoid area weights in u: dA = 2 pi lambda du, lambda = psi^2
-    if len(u) > 1 and np.all(np.diff(u) > 0):
-        du = np.gradient(u)
-        weights = 2.0 * math.pi * psi ** 2 * du
-    else:
-        weights = np.zeros_like(u)
+    # trapezoid area weights in sorted u, put back in the points' order:
+    # dA = 2 pi lambda du, lambda = psi^2
+    du = np.zeros_like(u)
+    if len(u) > 1:
+        order = np.argsort(u, kind="stable")
+        du[order] = np.gradient(u[order])
+    weights = 2.0 * math.pi * psi ** 2 * du
     i_min = int(np.argmin(vals))
     integral = kernel_area_integral(table, m, log_norms, tails)
     return KernelField(m=m, r=r, u=u, values=vals, weights=weights,

@@ -361,53 +361,28 @@ class PerturbedPotential:
 
     k: int
 
-    @property
-    def amplitude(self) -> float:
-        return self.k ** -4
-
     def cutoff(self, rho):
-        """Radial bump: 1 on [0,1/2], 0 on [1,inf), quintic smoothstep between."""
-        return 1.0 - _smoothstep_c2(2.0 * (np.asarray(rho, dtype=float) - 0.5))
+        """(eta, eta', eta'') of the radial bump eta: 1 on [0,1/2], 0 on
+        [1,inf), the quintic smoothstep in t = 2 rho - 1 between.  t is
+        clipped to [0, 1], so eta' and eta'' are exactly 0 off (1/2, 1)."""
+        t = np.clip(2.0 * (np.asarray(rho, dtype=float) - 0.5), 0.0, 1.0)
+        return (1.0 - _smoothstep_c2(t), -60.0 * (t * (1.0 - t)) ** 2,
+                -240.0 * t * (1.0 - t) * (1.0 - 2.0 * t))
 
-    def cutoff_d1(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        t = 2.0 * (rho - 0.5)
-        inside = (t > 0.0) & (t < 1.0)
-        ds = -2.0 * (30.0 * t * t - 60.0 * t**3 + 30.0 * t**4)
-        return np.where(inside, ds, 0.0)
-
-    def cutoff_d2(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        t = 2.0 * (rho - 0.5)
-        inside = (t > 0.0) & (t < 1.0)
-        d2 = -4.0 * (60.0 * t - 180.0 * t * t + 120.0 * t**3)
-        return np.where(inside, d2, 0.0)
+    def fields(self, x, y, rho):
+        """(phi, Laplacian phi) at x + iy with rho = |x + iy|, broadcast; on a
+        polar grid rho[:, None] takes the cutoff once per radius.  With
+        A = -k^-4 sin(2kx) sin(2ky), Laplacian(A eta) is
+        A (-8k^2 eta + eta'' + eta'/rho) + 2 eta'/rho (x A_x + y A_y)."""
+        k, amp = self.k, -self.k ** -4.0
+        sx, cx, sy, cy = np.sin(2 * k * x), np.cos(2 * k * x), np.sin(2 * k * y), np.cos(2 * k * y)
+        eta, d1, d2 = self.cutoff(rho)
+        d1_rho = d1 / np.maximum(rho, 0.5)  # eta' vanishes on [0, 1/2]
+        lap = amp * (sx * sy * (-8.0 * k * k * eta + d2 + d1_rho)
+                     + 4.0 * k * d1_rho * (cx * sy * x + sx * cy * y))
+        return amp * sx * sy * eta, lap
 
     def phi(self, z):
         """Perturbation value at complex chart coordinate z."""
         z = np.asarray(z, dtype=complex)
-        x, y = z.real, z.imag
-        k = self.k
-        rho = np.abs(z)
-        return -(k ** -4.0) * np.sin(2 * k * x) * np.sin(2 * k * y) * self.cutoff(rho)
-
-    def laplacian_phi(self, z):
-        """Euclidean Laplacian of phi (needed for the polarized area form)."""
-        z = np.asarray(z, dtype=complex)
-        x, y = z.real, z.imag
-        k = self.k
-        rho = np.abs(z)
-        amp = -(k ** -4.0)
-        A = amp * np.sin(2 * k * x) * np.sin(2 * k * y)
-        Ax = amp * 2 * k * np.cos(2 * k * x) * np.sin(2 * k * y)
-        Ay = amp * 2 * k * np.sin(2 * k * x) * np.cos(2 * k * y)
-        lapA = -8.0 * k * k * A
-        eta = self.cutoff(rho)
-        d1 = self.cutoff_d1(rho)
-        d2 = self.cutoff_d2(rho)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            nx = np.where(rho > 0, x / np.maximum(rho, 1e-300), 0.0)
-            ny = np.where(rho > 0, y / np.maximum(rho, 1e-300), 0.0)
-            lap_eta = d2 + np.where(rho > 0, d1 / np.maximum(rho, 1e-300), 0.0)
-        grad_dot = Ax * d1 * nx + Ay * d1 * ny
-        return lapA * eta + 2.0 * grad_dot + A * lap_eta
+        return self.fields(z.real, z.imag, np.abs(z))[0]

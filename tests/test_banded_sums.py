@@ -16,7 +16,8 @@ from scipy.special import logsumexp
 
 import bergman
 from bergman import kernels
-from bergman.kernels import kernel_area_integral, log_monomial_norms, rho_revolution
+from bergman.analysis import lp_deviation
+from bergman.kernels import kernel_area_integral, log_monomial_norms, rho_at_u, rho_revolution
 from bergman.models import make_cone_family, rescale_to_area, round_sphere
 from bergman.potential import build_potential
 
@@ -72,7 +73,11 @@ def test_band_matches_dense_reference(table, m):
     shuffled = np.random.default_rng(m).permutation(radii)
     by_r, mixed = (rho_revolution(prof, m, points=p, table=table) for p in (radii, shuffled))
     assert np.array_equal(mixed.r, shuffled)
-    assert np.array_equal(mixed.values, by_r.values[np.searchsorted(radii, shuffled)])
+    order = np.searchsorted(radii, shuffled)
+    assert np.array_equal(mixed.values, by_r.values[order])
+    # the trapezoid weights are formed in sorted u and follow the points
+    assert np.array_equal(mixed.weights, by_r.weights[order])
+    assert lp_deviation(mixed, 1.0) == pytest.approx(lp_deviation(by_r, 1.0), rel=1e-14)
     want = np.exp(dense_log_rho(mixed.u, table.phi(mixed.u), m, log_norms))
     assert np.all(np.abs(mixed.values - want) <= REL * want)
 
@@ -120,6 +125,20 @@ def test_points_outside_the_profile_rejected():
             rho_revolution(prof, 10, points=bad)
     fld = rho_revolution(prof, 10, points=[0.0, prof.length])
     assert np.allclose(fld.values, 11.0, rtol=1e-8)
+
+
+def test_rho_at_u_outside_the_window_rejected():
+    table = build_potential(round_sphere())
+    assert np.allclose(rho_at_u(table, 10, [table.u_min, table.u_max]), 11.0, rtol=1e-8)
+    for bad in (table.u_max + 5.0, 100.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="u must lie in"):
+            rho_at_u(table, 10, bad)
+
+
+def test_repeated_radius_gets_a_finite_weight():
+    fld = rho_revolution(round_sphere(), 10, points=[0.3, 0.1, 0.3])
+    assert np.all(np.isfinite(fld.weights)) and np.all(fld.weights >= 0.0)
+    assert lp_deviation(fld, 1.0) == pytest.approx(0.1, rel=1e-8)  # rho_10 = 11
 
 
 # the child's own peak RSS: getrusage's ru_maxrss would also count the test

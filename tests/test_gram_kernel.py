@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from bergman.gram import (
     fs_log_norms,
     gram_matrix,
     perturbed_area_density,
+    perturbed_scalar_curvature,
     rho_gram,
     rho_gram_field,
 )
@@ -344,7 +346,7 @@ class TestGram:
 
     def test_correction_matches_double_loop(self):
         # reference: the per-(i, j) loop over the same polar grid and the same
-        # polar (phi, D); the one matrix product only changes the order of the
+        # (phi, D); the one matrix product only changes the order of the
         # radial sums
         m, pert = 12, PerturbedPotential(6)
         model = GramModel(m, pert, n_r=40, n_theta=64)
@@ -352,10 +354,9 @@ class TestGram:
         rho = 0.5 * (xg + 1.0)
         wr = 0.5 * wg * rho
         nt = model.n_theta
-        theta = 2.0 * math.pi * np.arange(nt) / nt
         s = rho * rho
         base = 1.0 / (math.pi * (1.0 + s) ** 2)
-        phi, D = gram._polar_fields(pert, rho, theta)
+        phi, D = gram._phi_density(pert, *gram._polar(rho, nt))
         W = (1.0 + s[:, None]) ** (-m) * (np.exp(m * phi) * D - base[:, None])
         A = np.fft.fft(W, axis=1) * (2.0 * math.pi / nt)
         C = gram._correction_matrix(model)
@@ -368,17 +369,31 @@ class TestGram:
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_polar_fields_match_pointwise(self, k):
-        # the polar (phi, D) of the correction and field grids against
-        # pert.phi and perturbed_area_density at every node
+        # the (phi, D) of the correction and field grids, the cutoff taken once
+        # per radius, against pert.phi and perturbed_area_density at every
+        # node; their cutoff is taken at |x + iy|, which differs from the
+        # radius in the last bit
         pert = PerturbedPotential(k)
         xg, _ = np.polynomial.legendre.leggauss(160)
         t = np.linspace(-0.999, 0.999, 96)
         for rho, nt in ((0.5 * (xg + 1.0), 512), (np.sqrt((1.0 - t) / (1.0 + t)), 128)):
             theta = 2.0 * math.pi * np.arange(nt) / nt
             X, Y = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
-            phi, D = gram._polar_fields(pert, rho, theta)
-            assert np.array_equal(phi, pert.phi(X + 1j * Y))
+            phi, D = gram._phi_density(pert, *gram._polar(rho, nt))
+            assert np.max(np.abs(phi - pert.phi(X + 1j * Y))) <= 1e-14 * k ** -4.0
             assert np.max(np.abs(D / perturbed_area_density(pert, X, Y) - 1.0)) <= 1e-15
+
+    def test_no_warning_at_the_origin(self):
+        # eta'/rho is formed without dividing by zero at rho = 0
+        pert = PerturbedPotential(6)
+        model = GramModel(8, pert)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G = gram_matrix(model)
+            assert rho_gram(G, model, 0.0) > 0.0
+            assert math.isfinite(perturbed_scalar_curvature(pert, 0.0, 0.0))
+            phi, D = gram._phi_density(pert, *gram._polar(np.array([0.0, 0.5, 1.0]), 8))
+            assert np.all(phi[0] == 0.0) and np.all(np.isfinite(D))
 
     def test_offdiagonal_magnitude_bound(self):
         # couplings come from the k^-4 oscillation over the unit disc

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -173,17 +174,22 @@ class TestRoundSphereAndRescale:
 class TestPerturbedPotential:
     def test_cutoff_plateau_and_support(self):
         pert = PerturbedPotential(6)
-        assert pert.cutoff(0.0) == 1.0 and pert.cutoff(0.5) == 1.0
-        assert pert.cutoff(1.0) == 0.0 and pert.cutoff(2.0) == 0.0
+        assert pert.cutoff(0.0)[0] == 1.0 and pert.cutoff(0.5)[0] == 1.0
+        assert pert.cutoff(1.0)[0] == 0.0 and pert.cutoff(2.0)[0] == 0.0
+        # eta' and eta'' vanish exactly off the transition band (1/2, 1)
+        _, d1, d2 = pert.cutoff([0.0, 1e-300, 0.25, 0.5, 1.0, 1.5, 1e300])
+        assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
 
     def test_cutoff_derivatives_match_fd(self):
         pert = PerturbedPotential(6)
+        eta = lambda x: pert.cutoff(x)[0]
         h = 1e-4
         for x in (0.6, 0.75, 0.9):
-            fd1 = (pert.cutoff(x + h) - pert.cutoff(x - h)) / (2 * h)
-            fd2 = (pert.cutoff(x + h) - 2 * pert.cutoff(x) + pert.cutoff(x - h)) / h**2
-            assert abs(fd1 - pert.cutoff_d1(x)) < 1e-6
-            assert abs(fd2 - pert.cutoff_d2(x)) < 1e-3
+            fd1 = (eta(x + h) - eta(x - h)) / (2 * h)
+            fd2 = (eta(x + h) - 2 * eta(x) + eta(x - h)) / h**2
+            _, d1, d2 = pert.cutoff(x)
+            assert abs(fd1 - d1) < 1e-6
+            assert abs(fd2 - d2) < 1e-3
 
     def test_phi_amplitude_and_support(self):
         pert = PerturbedPotential(4)
@@ -194,7 +200,9 @@ class TestPerturbedPotential:
     def test_laplacian_matches_fd(self):
         pert = PerturbedPotential(3)
         h = 1e-5
-        for z in (0.1 + 0.2j, 0.6 + 0.1j, 0.3 - 0.55j):
+        # off the axes, at the origin and on the cutoff's seams |z| = 1/2 and 1
+        for z in (0.1 + 0.2j, 0.6 + 0.1j, 0.3 - 0.55j, 0j, 0.5 * cmath.exp(0.7j),
+                  cmath.exp(2.1j)):
             fd = (pert.phi(z + h) + pert.phi(z - h) + pert.phi(z + 1j * h)
                   + pert.phi(z - 1j * h) - 4 * pert.phi(z)) / h**2
-            assert abs(fd - pert.laplacian_phi(z)) < 1e-4
+            assert abs(fd - pert.fields(z.real, z.imag, abs(z))[1]) < 1e-4
