@@ -1,9 +1,11 @@
 """Command-line frontend.
 
-Every subcommand is a thin dispatcher around one library operation; all
-tabular output is CSV with ``#``-prefixed header comments carrying the fully
-resolved parameters and the tool version, so a run is reproducible from its
-own artifact.  Exit codes: 0 success, 1 computation failure, 2 bad input.
+Every subcommand is a thin dispatcher around one library operation that
+returns its data; ``run`` alone writes the artifact, prints the summary and
+picks the exit code.  All tabular output is CSV with ``#``-prefixed header
+comments carrying the fully resolved parameters and the tool version, so a
+run is reproducible from its own artifact.  Exit codes: 0 success, 1
+computation failure (any exception but ValueError), 2 bad input (ValueError).
 """
 
 from __future__ import annotations
@@ -58,16 +60,11 @@ def _parse_weights(text: str):
     return make_cyclic_weights(pairs)
 
 
-def _parse_floats(text: str):
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_ints(text: str):
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_complexes(text: str):
-    return [complex(x.replace(" ", "")) for x in text.split(",") if x.strip()]
+def _parse_list(p: dict, key: str, kind):
+    """The comma-separated values of parameter key, each read by kind; a
+    complex number may contain blanks, as in '1 + 2j'."""
+    text = p[key].replace(" ", "") if kind is complex else p[key]
+    return [kind(x) for x in text.split(",") if x.strip()]
 
 
 def _header(command: str, params: dict):
@@ -96,30 +93,34 @@ def _profile_from_params(name: str, d: int, k: int | None):
 
 
 # --------------------------------------------------------------------------
-# subcommand implementations; each takes the validated parameter dict
+# subcommand implementations; each takes the validated parameter dict and
+# returns (header lines after the config line, CSV rows, stderr summary or
+# None).  run writes the artifact; a failed computation raises.
 # --------------------------------------------------------------------------
+
+def _revolution_health(residual, table, tail_bound) -> str:
+    return (f"health: residual={residual!r} table_error={table.error!r} "
+            f"tail_bound={tail_bound!r}")
+
 
 def _cmd_orbifold_eval(p):
     w = _parse_weights(p["weights"])
-    z = _parse_complexes(p["z"])
+    z = _parse_list(p, "z", complex)
     if len(z) != w.n:
         raise ValueError(f"point needs {w.n} coordinates, got {len(z)}")
     rho = rho_closed(w, z)
-    lines = _header("orbifold-eval", p)
     rows = ["rho", f"{rho!r}"]
     if p["oracle"]:
         cap = degree_cap_for(w, z, 1e-12)
         orc = rho_oracle(w, z, cap)
         rows = ["rho,oracle,tail_bound,degree_cap",
                 f"{rho!r},{orc.value!r},{orc.tail_bound!r},{orc.degree_cap}"]
-    _emit(lines, rows, p["out"])
-    print(f"rho = {rho:.12f}", file=sys.stderr)
-    return 0
+    return [], rows, f"rho = {rho:.12f}"
 
 
 def _cmd_orbifold_ray(p):
     w = _parse_weights(p["weights"])
-    direction = np.array(_parse_floats(p["direction"]))
+    direction = np.array(_parse_list(p, "direction", float))
     t_max = p["tmax"]
     nodes = p["nodes"]
     t_star, rho_star = min_on_ray(w, direction, t_max, nodes=nodes)
@@ -127,23 +128,18 @@ def _cmd_orbifold_ray(p):
     ts = np.linspace(t_max / nodes, t_max, nodes)
     rhos = rho_closed(w, ts[:, None] * sq)
     rows = ["t,rho"] + [f"{float(t)!r},{float(rho)!r}" for t, rho in zip(ts, rhos)]
-    lines = _header("orbifold-ray", p) + [f"min: t={t_star!r} rho={rho_star!r}"]
-    _emit(lines, rows, p["out"])
-    print(f"ray minimum rho = {rho_star:.12f} at t = {t_star:.9f}", file=sys.stderr)
-    return 0
+    return ([f"min: t={t_star!r} rho={rho_star!r}"], rows,
+            f"ray minimum rho = {rho_star:.12f} at t = {t_star:.9f}")
 
 
 def _cmd_resonance(p):
     w = _parse_weights(p["weights"])
     cert = construct_certificate(w)
-    lines = _header("resonance", p)
     rows = ["j,margin,sin_sum,r",
             f"{cert.j},{cert.margin!r},{cert.sin_sum!r},"
             + ";".join(repr(float(x)) for x in cert.r)]
-    _emit(lines, rows, p["out"])
-    print(f"certificate: j={cert.j} margin={cert.margin:.6e} "
-          f"sin_sum={cert.sin_sum:.6e}", file=sys.stderr)
-    return 0
+    return [], rows, (f"certificate: j={cert.j} margin={cert.margin:.6e} "
+                      f"sin_sum={cert.sin_sum:.6e}")
 
 
 def _cmd_subunity(p):
@@ -151,34 +147,23 @@ def _cmd_subunity(p):
     cert = construct_certificate(w)
     wit = find_subunity_point(w, cert, k_max=p["kmax"])
     if not wit.found:
-        print(f"no sub-unity point found; best rho = {wit.rho!r}", file=sys.stderr)
-        return 1
-    lines = _header("subunity", p)
-    rows = ["t_sq,rho,k",
-            f"{wit.t * wit.t!r},{wit.rho!r},{wit.k}"]
-    _emit(lines, rows, p["out"])
-    print(f"witness: t^2 = {wit.t**2:.6f}, rho = {wit.rho:.6f}, k = {wit.k}",
-          file=sys.stderr)
-    return 0
+        raise ArithmeticError(f"no sub-unity point found; best rho = {wit.rho!r}")
+    rows = ["t_sq,rho,k", f"{wit.t * wit.t!r},{wit.rho!r},{wit.k}"]
+    return [], rows, f"witness: t^2 = {wit.t**2:.6f}, rho = {wit.rho:.6f}, k = {wit.k}"
 
 
 def _cmd_revolution(p):
     d = p["d"]
     m = p["m"]
     prof = _profile_from_params(p["profile"], d, p["k"])
-    grid = p["grid"]
     table = build_potential(prof)
-    fld = rho_revolution(prof, m, table=table, n_samples=grid)
-    lines = _header("revolution", p) + [
-        f"inf={fld.inf!r} sup={fld.sup!r} argmin_r={fld.argmin_r!r} "
-        f"integral={fld.integral!r}",
-        f"health: residual={fld.integral - (m * d + 1)!r} table_error={table.error!r} "
-        f"tail_bound={fld.tail_bound!r}"]
+    fld = rho_revolution(prof, m, table=table, n_samples=p["grid"])
+    lines = [f"inf={fld.inf!r} sup={fld.sup!r} argmin_r={fld.argmin_r!r} "
+             f"integral={fld.integral!r}",
+             _revolution_health(fld.integral - (m * d + 1), table, fld.tail_bound)]
     rows = ["r,rho"] + [f"{float(r)!r},{float(v)!r}" for r, v in zip(fld.r, fld.values)]
-    _emit(lines, rows, p["out"])
-    print(f"rho_{m}: inf={fld.inf:.9f} sup={fld.sup:.9f} "
-          f"integral={fld.integral:.9f}", file=sys.stderr)
-    return 0
+    return lines, rows, (f"rho_{m}: inf={fld.inf:.9f} sup={fld.sup:.9f} "
+                         f"integral={fld.integral:.9f}")
 
 
 def _scaled_cond(G) -> float:
@@ -194,19 +179,16 @@ def _cmd_gram(p):
     model = GramModel(m, pert)
     G = gram_matrix(model)
     cond = _scaled_cond(G)
-    zs = _parse_complexes(p["z"])
+    zs = _parse_list(p, "z", complex)
     rhos = rho_gram(G, model, np.array(zs))
     rows = ["z,rho"] + [f"{z!r},{float(rho)!r}" for z, rho in zip(zs, rhos)]
-    lines = _header("gram", p) + [f"health: scaled_cond={cond!r}"]
-    _emit(lines, rows, p["out"])
-    if p["dump_gram"]:
+    if p["dump_gram"]:  # the one second artifact
         grows = ["i,j,re,im"]
         for i in range(m + 1):
             for j in range(m + 1):
                 grows.append(f"{i},{j},{float(G[i, j].real)!r},{float(G[i, j].imag)!r}")
         _emit(_header("gram-matrix", p), grows, p["dump_gram"])
-    print(f"gram: scaled_cond = {cond:.3e}", file=sys.stderr)
-    return 0
+    return [f"health: scaled_cond={cond!r}"], rows, f"gram: scaled_cond = {cond:.3e}"
 
 
 def _cmd_cpn(p):
@@ -214,11 +196,8 @@ def _cmd_cpn(p):
     m = p["m"]
     exact = cpn_fs_exact(n, m)
     oracle = cpn_fs_oracle(n, m)
-    lines = _header("cpn", p)
     rows = ["n,m,rho_exact,rho_oracle", f"{n},{m},{exact},{oracle}"]
-    _emit(lines, rows, p["out"])
-    print(f"rho on CP^{n} at m={m}: {exact}", file=sys.stderr)
-    return 0
+    return [], rows, f"rho on CP^{n} at m={m}: {exact}"
 
 
 def _cmd_tyz(p):
@@ -231,39 +210,30 @@ def _cmd_tyz(p):
     else:
         r1, r2 = cpn_fs_exact(n, m1), cpn_fs_exact(n, m2)
     a1, resid = tyz_a1_estimate(r1, r2, m1, m2, n)
-    lines = _header("tyz", p)
-    rows = ["a1,residual", f"{a1!r},{resid!r}"]
-    _emit(lines, rows, p["out"])
-    print(f"a1 = {a1:.9f} (residual {resid:.3e})", file=sys.stderr)
-    return 0
+    return [], ["a1,residual", f"{a1!r},{resid!r}"], f"a1 = {a1:.9f} (residual {resid:.3e})"
 
 
 def _cmd_lp(p):
     m = p["m"]
     pexp = math.inf if p["p"] in ("inf", "oo") else float(p["p"])
     pk = p["pert"]
-    lines = _header("lp", p)
     if pk:
         model = GramModel(m, PerturbedPotential(pk))
         G = gram_matrix(model)
         fld = rho_gram_field(model, G)
-        lines.append(f"health: scaled_cond={_scaled_cond(G)!r} "
-                     f"residual={fld.integral - (m + 1)!r}")
+        health = (f"health: scaled_cond={_scaled_cond(G)!r} "
+                  f"residual={fld.integral - (m + 1)!r}")
     else:
         prof = _profile_from_params(p["profile"], p["d"], p["k"])
         table = build_potential(prof)
         fld = rho_revolution(prof, m, table=table)
-        lines.append(f"health: residual={fld.integral - (m * prof.d + 1)!r} "
-                     f"table_error={table.error!r} tail_bound={fld.tail_bound!r}")
+        health = _revolution_health(fld.integral - (m * prof.d + 1), table, fld.tail_bound)
     dev = lp_deviation(fld, pexp)
-    rows = ["p,deviation", f"{pexp},{dev!r}"]
-    _emit(lines, rows, p["out"])
-    print(f"L^{pexp} deviation = {dev:.9e}", file=sys.stderr)
-    return 0
+    return [health], ["p,deviation", f"{pexp},{dev!r}"], f"L^{pexp} deviation = {dev:.9e}"
 
 
 def _cmd_fscurrent(p):
-    m_list = _parse_ints(p["m_list"])
+    m_list = _parse_list(p, "m_list", int)
     prof = _profile_from_params(p["profile"], p["d"], p["k"])
     table = build_potential(prof)
     rows, resid, tail = ["m,sup_log_rho_over_m"], 0.0, 0.0
@@ -272,19 +242,13 @@ def _cmd_fscurrent(p):
         rows.append(f"{m},{fs_current_sup(fld)!r}")
         resid = max(resid, fld.integral - (m * prof.d + 1), key=abs)
         tail = max(tail, fld.tail_bound)
-    _emit(_header("fscurrent", p) + [f"health: residual={resid!r} table_error={table.error!r} "
-                                     f"tail_bound={tail!r}"], rows, p["out"])
-    return 0
+    return [_revolution_health(resid, table, tail)], rows, None
 
 
 def _cmd_cone_sweep(p):
-    k_list = _parse_ints(p["k_list"])
-    m_list = _parse_ints(p["m_list"])
-    rep = cone_sweep(k_list, m_list, n_samples=p["grid"])
-    lines = _header("cone-sweep", p) + [f"eps_witness: {rep.eps_witness!r}"]
-    _emit(lines, rep.to_csv().splitlines(), p["out"])
-    print(rep.summary(), file=sys.stderr)
-    return 0
+    rep = cone_sweep(_parse_list(p, "k_list", int), _parse_list(p, "m_list", int),
+                     n_samples=p["grid"])
+    return [f"eps_witness: {rep.eps_witness!r}"], rep.to_csv().splitlines(), rep.summary()
 
 
 _REQUIRED = object()  # the default of a parameter that has none
@@ -397,7 +361,11 @@ def run(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[cfg.command][0](cfg.params)
+        lines, rows, summary = _COMMANDS[cfg.command][0](cfg.params)
+        _emit(_header(cfg.command, cfg.params) + lines, rows, cfg.params["out"])
+        if summary is not None:
+            print(summary, file=sys.stderr)
+        return 0
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
