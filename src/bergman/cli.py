@@ -36,7 +36,7 @@ from .models import (
     rescale_to_area,
     round_sphere,
 )
-from .orbifold import min_on_ray, rho_closed, rho_oracle, degree_cap_for
+from .orbifold import degree_cap_for, min_on_ray, rho_closed_detailed, rho_oracle
 from .potential import build_potential
 from .resonance import construct_certificate, find_subunity_point
 
@@ -62,9 +62,13 @@ def _parse_weights(text: str):
 
 def _parse_list(p: dict, key: str, kind):
     """The comma-separated values of parameter key, each read by kind; a
-    complex number may contain blanks, as in '1 + 2j'."""
+    complex number may contain blanks, as in '1 + 2j'.  An empty list is bad
+    input."""
     text = p[key].replace(" ", "") if kind is complex else p[key]
-    return [kind(x) for x in text.split(",") if x.strip()]
+    values = [kind(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise ValueError(f"{_flag(key)}: {p[key]!r} lists no value")
+    return values
 
 
 def _header(command: str, params: dict):
@@ -108,27 +112,27 @@ def _cmd_orbifold_eval(p):
     z = _parse_list(p, "z", complex)
     if len(z) != w.n:
         raise ValueError(f"point needs {w.n} coordinates, got {len(z)}")
-    rho = rho_closed(w, z)
+    rho, resid = rho_closed_detailed(w, z)
     rows = ["rho", f"{rho!r}"]
     if p["oracle"]:
         cap = degree_cap_for(w, z, 1e-12)
         orc = rho_oracle(w, z, cap)
         rows = ["rho,oracle,tail_bound,degree_cap",
                 f"{rho!r},{orc.value!r},{orc.tail_bound!r},{orc.degree_cap}"]
-    return [], rows, f"rho = {rho:.12f}"
+    return [f"health: imag_residue={resid!r}"], rows, f"rho = {rho:.12f}"
 
 
 def _cmd_orbifold_ray(p):
     w = _parse_weights(p["weights"])
     direction = np.array(_parse_list(p, "direction", float))
-    t_max = p["tmax"]
-    nodes = p["nodes"]
+    t_max, nodes = p["tmax"], p["nodes"]
     t_star, rho_star = min_on_ray(w, direction, t_max, nodes=nodes)
     sq = np.sqrt(direction)
     ts = np.linspace(t_max / nodes, t_max, nodes)
-    rhos = rho_closed(w, ts[:, None] * sq)
+    rhos, resids = rho_closed_detailed(w, ts[:, None] * sq)
+    resid = max(float(resids.max()), rho_closed_detailed(w, t_star * sq)[1])
     rows = ["t,rho"] + [f"{float(t)!r},{float(rho)!r}" for t, rho in zip(ts, rhos)]
-    return ([f"min: t={t_star!r} rho={rho_star!r}"], rows,
+    return ([f"min: t={t_star!r} rho={rho_star!r}", f"health: imag_residue={resid!r}"], rows,
             f"ray minimum rho = {rho_star:.12f} at t = {t_star:.9f}")
 
 
@@ -153,8 +157,7 @@ def _cmd_subunity(p):
 
 
 def _cmd_revolution(p):
-    d = p["d"]
-    m = p["m"]
+    d, m = p["d"], p["m"]
     prof = _profile_from_params(p["profile"], d, p["k"])
     table = build_potential(prof)
     fld = rho_revolution(prof, m, table=table, n_samples=p["grid"])
@@ -174,26 +177,21 @@ def _scaled_cond(G) -> float:
 
 def _cmd_gram(p):
     m = p["m"]
-    pk = p["pert"]
-    pert = PerturbedPotential(pk) if pk else None
-    model = GramModel(m, pert)
+    model = GramModel(m, PerturbedPotential(p["pert"]) if p["pert"] else None)
     G = gram_matrix(model)
     cond = _scaled_cond(G)
     zs = _parse_list(p, "z", complex)
     rhos = rho_gram(G, model, np.array(zs))
     rows = ["z,rho"] + [f"{z!r},{float(rho)!r}" for z, rho in zip(zs, rhos)]
     if p["dump_gram"]:  # the one second artifact
-        grows = ["i,j,re,im"]
-        for i in range(m + 1):
-            for j in range(m + 1):
-                grows.append(f"{i},{j},{float(G[i, j].real)!r},{float(G[i, j].imag)!r}")
+        grows = ["i,j,re,im"] + [f"{i},{j},{float(G[i, j].real)!r},{float(G[i, j].imag)!r}"
+                                 for i in range(m + 1) for j in range(m + 1)]
         _emit(_header("gram-matrix", p), grows, p["dump_gram"])
     return [f"health: scaled_cond={cond!r}"], rows, f"gram: scaled_cond = {cond:.3e}"
 
 
 def _cmd_cpn(p):
-    n = p["n"]
-    m = p["m"]
+    n, m = p["n"], p["m"]
     exact = cpn_fs_exact(n, m)
     oracle = cpn_fs_oracle(n, m)
     rows = ["n,m,rho_exact,rho_oracle", f"{n},{m},{exact},{oracle}"]
@@ -201,8 +199,7 @@ def _cmd_cpn(p):
 
 
 def _cmd_tyz(p):
-    n = p["n"]
-    m1, m2 = p["m1"], p["m2"]
+    n, m1, m2 = p["n"], p["m1"], p["m2"]
     if (p["rho1"] is None) != (p["rho2"] is None):
         raise ValueError("--rho1 and --rho2 go together")
     if p["rho1"] is not None:
@@ -216,9 +213,8 @@ def _cmd_tyz(p):
 def _cmd_lp(p):
     m = p["m"]
     pexp = math.inf if p["p"] in ("inf", "oo") else float(p["p"])
-    pk = p["pert"]
-    if pk:
-        model = GramModel(m, PerturbedPotential(pk))
+    if p["pert"]:
+        model = GramModel(m, PerturbedPotential(p["pert"]))
         G = gram_matrix(model)
         fld = rho_gram_field(model, G)
         health = (f"health: scaled_cond={_scaled_cond(G)!r} "

@@ -100,6 +100,21 @@ def perturbed_scalar_curvature(pert: PerturbedPotential | None, x: float, y: flo
 _gauss = functools.lru_cache(np.polynomial.legendre.leggauss)
 
 
+def _panels(edges, counts):
+    """Composite Gauss-Legendre nodes and weights, counts[i] nodes on the
+    panel from edges[i] to edges[i+1]; the edges may run either way."""
+    h = 0.5 * np.diff(edges)
+    x = np.concatenate([e + hi * (1.0 + _gauss(n)[0]) for e, hi, n in zip(edges, h, counts)])
+    return x, np.concatenate([abs(hi) * _gauss(n)[1] for hi, n in zip(h, counts)])
+
+
+def _radial_rule(n_r: int):
+    """Nodes rho and weights (Jacobian rho included) of the correction's rule
+    on [0, 1]: n_r nodes on two panels that meet at the cutoff's seam 1/2."""
+    rho, w = _panels([0.0, 0.5, 1.0], [n_r // 2, n_r - n_r // 2])
+    return rho, w * rho
+
+
 def _polar(rho: np.ndarray, n_theta: int):
     """(x, y, rho) on the grid rho x (n_theta equispaced angles), rho as a
     column so that the cutoff is taken once per radius."""
@@ -111,10 +126,7 @@ def _correction_matrix(model: GramModel) -> np.ndarray:
     """C_ij = int z^i conj(z)^j (1+s)^{-m} [e^{m phi} D - D_0] dx dy over the
     unit disc, on a polar tensor grid with FFT over the angle."""
     m = model.m
-    # Gauss-Legendre in rho on [0, 1]
-    xg, wg = _gauss(model.n_r)
-    rho = 0.5 * (xg + 1.0)
-    wr = 0.5 * wg * rho  # includes the Jacobian rho
+    rho, wr = _radial_rule(model.n_r)
     nt = model.n_theta
     phi, D = _phi_density(model.pert, *_polar(rho, nt))
     s = (rho * rho)[:, None]
@@ -206,9 +218,7 @@ def rho_gram_field(model: GramModel, G: np.ndarray | None = None,
     m = model.m
     A = cho_solve((_scaled_factor(G), True), np.eye(m + 1))
     edges = np.array([1.0, 0.6, 0.0, -1.0])  # t = cos(lat) at |z| = 0, 1/2, 1, inf
-    h, n = 0.5 * np.diff(edges), np.diff(np.round(n_lat * (1.0 - edges) / 2.0)).astype(int)
-    t = np.concatenate([e + hi * (1.0 + _gauss(ni)[0]) for e, hi, ni in zip(edges, h, n)])
-    wt = np.concatenate([-hi * _gauss(ni)[1] for hi, ni in zip(h, n)])
+    t, wt = _panels(edges, np.diff(np.round(n_lat * (1.0 - edges) / 2.0)).astype(int))
     r = np.sqrt((1.0 - t) / (1.0 + t))
     a = np.exp(_log_frame(m, r))
     c = np.stack([(a[:, :m + 1 - d] * a[:, d:]) @ np.diagonal(A, d) for d in range(m + 1)], axis=1)

@@ -219,6 +219,8 @@ def rho_revolution(profile: RevolutionProfile, m: int, points=None,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if points is None and n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     if points is not None:
         points = np.asarray(points, dtype=float)
         if not np.all((points >= 0.0) & (points <= profile.length)):  # NaN fails too

@@ -68,10 +68,11 @@ class CyclicWeights:
         return len(self.pairs)
 
     def phases(self, k) -> np.ndarray:
-        """Angles 2*pi*k*p_l/q_l of the k-th power of the generator; an
+        """Angles 2*pi*k*p_l/q_l of the k-th power of the generator, with
+        k*p_l reduced mod q_l first so the angle lies in [0, 2*pi); an
         integer array k gives one row per power, shape (len(k), n)."""
         p, ql = np.array(self.pairs).T
-        return 2.0 * math.pi * np.asarray(k)[..., None] * p / ql
+        return 2.0 * math.pi * (np.asarray(k)[..., None] * p % ql) / ql
 
     def sigma(self, z: np.ndarray, a: int = 1) -> np.ndarray:
         """Apply the a-th power of the generator to a point of C^n."""

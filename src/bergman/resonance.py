@@ -85,13 +85,12 @@ def _certify(w: CyclicWeights, r: np.ndarray, j: int) -> ResonanceCertificate | 
     return ResonanceCertificate(cert.r, j, margin, cert.sin_sum) if ok else None
 
 
-def _base_case(w: CyclicWeights) -> ResonanceCertificate:
+def _base_case(w: CyclicWeights) -> ResonanceCertificate | None:
     """Some q_l equals q: put all weight on that coordinate and invert p_l."""
     j, l = min((pow(p, -1, w.q), l) for l, (p, ql) in enumerate(w.pairs) if ql == w.q)
     r = np.zeros(w.n)
     r[l] = 1.0
-    _, margin, _ = verify_certificate(w, ResonanceCertificate(tuple(r), j, 0.0, 0.0))
-    return ResonanceCertificate(tuple(r), j, margin, _sin_sum(w, r, j))
+    return _certify(w, r, j)
 
 
 def _combine(w: CyclicWeights, order: list[int], sub: ResonanceCertificate,

@@ -13,6 +13,7 @@ from bergman import cli
 from bergman.cli import RunConfig, parse_config, run
 from bergman.gram import GramModel, gram_matrix
 from bergman.models import PerturbedPotential
+from bergman.resonance import SubUnityWitness
 
 
 def read(path):
@@ -98,6 +99,26 @@ class TestExitCodes:
         cap = capsys.readouterr()
         assert message in cap.err and "Warning" not in cap.err and cap.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fscurrent", "--m-list", ","], "--m-list"),
+        (["gram", "--m", "4", "--z", ","], "--z"),
+        (["revolution", "--m", "5", "--grid", "0"], "n_samples must be >= 1"),
+    ])
+    def test_empty_list_is_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_no_subunity_witness_is_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "find_subunity_point", lambda w, cert, k_max: SubUnityWitness(
+            z=(0j,), rho=1.5, k=0, t=0.0, found=False))
+        out = tmp_path / "w.csv"
+        assert run(["subunity", "--weights", "1/3", "--out", str(out)]) == 1
+        assert "computation failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_command_is_2(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
@@ -121,7 +142,8 @@ class TestOutputFormat:
         assert lines[1] == "# command: orbifold-eval"
         cfg = json.loads(lines[2].removeprefix("# config: "))
         assert cfg["weights"] == "1/3"
-        assert lines[3] == "rho"
+        assert lines[3].startswith("# health: imag_residue=")
+        assert lines[4] == "rho"
 
     def test_orbifold_eval_fixture(self, tmp_path):
         # rho at |z| = 1 on C/Z_3: 1 + 2 e^{-3 pi/2} cos(sqrt(3) pi / 2)
@@ -271,6 +293,28 @@ class TestOutputFormat:
             assert 1.0 <= float(fields["scaled_cond"]) < 1.1
         assert abs(float(fields["residual"])) < 1e-6
 
+    def test_orbifold_health_header(self, tmp_path, monkeypatch, capsys):
+        # the imaginary residue of the character sum: machine noise on C/Z_3,
+        # and on C/Z_213 as large as the ray minimum it sits beside
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+
+        def residue(path):
+            health = [ln for ln in read(path).splitlines() if ln.startswith("# health: ")]
+            assert len(health) == 1
+            key, value = health[0].removeprefix("# health: ").split("=")
+            assert key == "imag_residue"
+            return float(value)
+        for name in ("orbifold_z3_eval", "orbifold_z3_ray"):
+            config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+            assert run(["config", str(config)]) == 0
+            assert 0.0 <= residue(tmp_path / "out" / f"{name}.csv") <= 1e-15
+        out = tmp_path / "ray213.csv"
+        assert run(["orbifold-ray", "--weights", "1/213", "--direction", "1", "--tmax", "8",
+                    "--out", str(out)]) == 0
+        assert residue(out) >= 1e-14
+        capsys.readouterr()
+
     def test_gram_dump_holds_numbers(self, tmp_path, capsys):
         dump = tmp_path / "G.csv"
         assert run(["gram", "--m", "8", "--pert", "6", "--dump-gram", str(dump)]) == 0
@@ -396,6 +440,10 @@ def test_flags_and_config_write_same_bytes(config, tmp_path, monkeypatch, capsys
     out = tmp_path / doc["out"]
     assert run(_as_flags(doc)) == 0
     from_flags = out.read_bytes()
+    head = from_flags.decode().splitlines()[:3]
+    assert head[:2] == [f"# bergman {bergman.__version__}", f"# command: {doc['command']}"]
+    assert head[2].startswith("# config: ")
+    assert json.loads(head[2].removeprefix("# config: ")) == parse_config(str(config)).params
     out.unlink()
     assert run(["config", str(config)]) == 0
     assert out.read_bytes() == from_flags

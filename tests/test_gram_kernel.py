@@ -350,9 +350,7 @@ class TestGram:
         # radial sums
         m, pert = 12, PerturbedPotential(6)
         model = GramModel(m, pert, n_r=40, n_theta=64)
-        xg, wg = np.polynomial.legendre.leggauss(model.n_r)
-        rho = 0.5 * (xg + 1.0)
-        wr = 0.5 * wg * rho
+        rho, wr = gram._radial_rule(model.n_r)
         nt = model.n_theta
         s = rho * rho
         base = 1.0 / (math.pi * (1.0 + s) ** 2)
@@ -457,6 +455,13 @@ class TestGram:
         # rule's error; panel edges at the cutoff seams keep it below 1e-8
         m = 32
         fld = rho_gram_field(GramModel(m, PerturbedPotential(6), n_r=640))
+        assert abs(fld.integral - (m + 1)) < 1e-8
+
+    @pytest.mark.parametrize("m", [32, 128, 200])
+    def test_field_integral_perturbed_default_rule(self, m):
+        # the correction's radial rule has an edge at the cutoff's seam
+        # rho = 1/2; one panel across that kink left 4e-8 to 2.4e-7 here
+        fld = rho_gram_field(GramModel(m, PerturbedPotential(6)))
         assert abs(fld.integral - (m + 1)) < 1e-8
 
     @pytest.mark.parametrize("m", [8, 32, 128, 200])

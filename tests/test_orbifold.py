@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,22 @@ class TestClosedForm:
         w = make_cyclic_weights([(2, 7), (3, 5)])
         _, resid = rho_closed_detailed(w, [1.1 + 0.0j, 0.4])
         assert resid < 1e-12
+
+    @pytest.mark.parametrize("pairs, z", [
+        ([(1, 3), (62, 71)], [0.0, 2.0j]),
+        ([(7, 60), (11, 360)], [1.5, 2.0]),
+    ])
+    def test_matches_40_digit_sum(self, pairs, z):
+        # the character sum in 40-digit arithmetic, j p_l / q_l exact; with
+        # j p_l unreduced mod q_l the angles lose about 1e-13
+        w = make_cyclic_weights(pairs)
+        with mp.workdps(40):
+            s = [abs(mp.mpc(c)) ** 2 for c in z]
+            total = sum(mp.exp(mp.pi * sum(sl * mp.expjpi(mp.mpf(2 * j * p) / ql)
+                                           for sl, (p, ql) in zip(s, w.pairs)))
+                        for j in range(w.q))
+            exact = float(total.real * mp.exp(-mp.pi * sum(s)))
+        assert abs(rho_closed(w, z) - exact) <= 1e-13
 
     def test_group_invariance(self):
         w = make_cyclic_weights([(1, 3), (2, 5)])
