@@ -2,12 +2,14 @@
 oscillating perturbation of the round sphere.
 
 All model objects are immutable after construction and safe to share between
-threads.  Profiles are a vectorized callable plus the radii of its seams, the
-points where it is only finitely smooth.
+threads; the one lazy field, the table ``CyclicWeights.characters``, is filled
+on first read and read-only.  Profiles are a vectorized callable plus the radii
+of its seams, the points where it is only finitely smooth.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import gcd, lcm
@@ -74,9 +76,17 @@ class CyclicWeights:
         p, ql = np.array(self.pairs).T
         return 2.0 * math.pi * (np.asarray(k)[..., None] * p % ql) / ql
 
+    @functools.cached_property
+    def characters(self) -> np.ndarray:
+        """Read-only (q, n) table exp(1j * phases(arange(q))) of the characters
+        e^{2 pi i k p_l / q_l}; .real and .imag are the phases' cos and sin."""
+        table = np.exp(1j * self.phases(np.arange(self.q)))
+        table.flags.writeable = False
+        return table
+
     def sigma(self, z: np.ndarray, a: int = 1) -> np.ndarray:
         """Apply the a-th power of the generator to a point of C^n."""
-        return np.asarray(z, dtype=complex) * np.exp(1j * self.phases(a))
+        return np.asarray(z, dtype=complex) * self.characters[a % self.q]
 
 
 def make_cyclic_weights(pairs) -> CyclicWeights:
@@ -308,25 +318,26 @@ def _smoothed_fk_callable(k: int):
     f3, g3, m3 = _fk_derivs(k, x3)
 
     # constant shifts picked up across each slope-smoothing window
-    psi_x1 = float(_hermite_slope_blend(x1, x0, x1, f0, g0, m0, g1, m1))
-    d1 = psi_x1 - f1
-    psi_x3 = float(_hermite_slope_blend(x3, x2, x3, f2 + d1, g2, m2, g3, m3))
-    d2 = psi_x3 - f3
+    d1 = float(_hermite_slope_blend(x1, x0, x1, f0, g0, m0, g1, m1)) - f1
+    d2 = float(_hermite_slope_blend(x3, x2, x3, f2 + d1, g2, m2, g3, m3)) - f3
+
+    f = lambda x: eval_f_k(k, x)
+    # one formula per interval [0,x0) [x0,x1] (x1,x2) [x2,x3] (x3,x4) [x4,L]
+    pieces = (f,
+              lambda x: _hermite_slope_blend(x, x0, x1, f0, g0, m0, g1, m1),
+              lambda x: f(x) + d1,
+              lambda x: _hermite_slope_blend(x, x2, x3, f2 + d1, g2, m2, g3, m3),
+              lambda x: f(x) + d2 * (1.0 - _smoothstep_c2((x - x3) / (x4 - x3))),
+              f)
 
     def psi(r):
-        rr = np.asarray(r, dtype=float)
-        out = np.asarray(eval_f_k(k, rr), dtype=float)
-        mid1 = (rr > x1) & (rr < x2)
-        out = np.where(mid1, out + d1, out)
-        win1 = (rr >= x0) & (rr <= x1)
-        if win1.any():
-            out = np.where(win1, _hermite_slope_blend(rr, x0, x1, f0, g0, m0, g1, m1), out)
-        win2 = (rr >= x2) & (rr <= x3)
-        if win2.any():
-            out = np.where(win2, _hermite_slope_blend(rr, x2, x3, f2 + d1, g2, m2, g3, m3), out)
-        fade = (rr > x3) & (rr < x4)
-        if fade.any():
-            out = np.where(fade, out + d2 * (1.0 - _smoothstep_c2((rr - x3) / (x4 - x3))), out)
+        x = np.asarray(r, dtype=float)
+        piece = np.searchsorted((x0, x2, x4), x, "right") + np.searchsorted((x1, x3), x, "left")
+        out = np.empty_like(x)
+        for i, g in enumerate(pieces):
+            sel = piece == i
+            if sel.any():
+                out[sel] = g(x[sel])
         return out if out.shape else float(out)
 
     return psi, (x0, x1, x2, x3, x4)

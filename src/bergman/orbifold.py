@@ -54,14 +54,13 @@ def rho_closed_detailed(w: CyclicWeights, z):
     accumulation, relative terms included, and should sit at machine noise.
     """
     z = _check_point(w, z, batch=True)
-    q = w.q
+    q, e = w.q, w.characters  # e: (q, n)
     rows = max(1, _BLOCK_TERMS // q)
     if z.ndim == 2 and len(z) > rows:
         value, resid = zip(*(rho_closed_detailed(w, z[i:i + rows])
                              for i in range(0, len(z), rows)))
         return np.concatenate(value), np.concatenate(resid)
     s = np.abs(z) ** 2
-    e = np.exp(1j * w.phases(np.arange(q)))  # (q, n)
     # exponent_j = pi * sum_l s_l e^{i theta_l(j)} - pi |z|^2; an elementwise
     # sum rather than a matrix product keeps rows independent of the batch
     expo = np.pi * np.sum(s[..., None, :] * e, axis=-1) \

@@ -45,13 +45,8 @@ class SubUnityWitness:
     found: bool
 
 
-def _cos_sums(w: CyclicWeights, r: np.ndarray) -> np.ndarray:
-    """S(k) = sum_l r_l cos(2 pi k p_l / q_l) for k = 0..q-1."""
-    return np.cos(w.phases(np.arange(w.q))) @ r
-
-
 def _sin_sum(w: CyclicWeights, r: np.ndarray, j: int) -> float:
-    return float(np.sin(w.phases(j)) @ r)
+    return float(w.characters[j].imag.copy() @ r)
 
 
 def _rivals(q: int, j: int) -> np.ndarray:
@@ -70,7 +65,7 @@ def verify_certificate(w: CyclicWeights, cert: ResonanceCertificate):
     j = cert.j
     if not (1 <= j <= w.q - 1):
         return False, -math.inf, set()
-    S = _cos_sums(w, r)
+    S = w.characters.real.copy() @ r  # cosine sums; a strided view moves them by ulps
     margin = float(np.min(S[j] - S[_rivals(w.q, j)], initial=math.inf))
     argmax = set((np.flatnonzero(S[1:] >= S[1:].max() - 1e-12) + 1).tolist())
     ok = (margin > 0) and (argmax == {j, w.q - j}) and abs(_sin_sum(w, r, j)) >= SIN_MIN
@@ -96,14 +91,14 @@ def _base_case(w: CyclicWeights) -> ResonanceCertificate | None:
 def _combine(w: CyclicWeights, order: list[int], sub: ResonanceCertificate,
              q_prime: int) -> ResonanceCertificate | None:
     """Extend a certificate for the first n-1 (reordered) coordinates by the
-    last one.  The block index b is chosen to maximize the last coordinate's
-    cosine at j = b q' + j', and the new ray weight from the explicit
-    feasibility interval; returns None if no strict certificate of this shape
-    exists."""
+    last one.  Blocks b are tried once each, in decreasing order of the last
+    coordinate's cosine at j = b q' + j', with the new ray weight in the middle
+    of its feasibility interval (lower end + 1 if unbounded); returns None if
+    none of them certifies."""
     q = w.q
     r_head = np.zeros(w.n)
     r_head[order[:-1]] = sub.r
-    cos_all = np.cos(w.phases(np.arange(q)))
+    cos_all = w.characters.real.copy()
     S_head = cos_all @ r_head  # last coordinate has weight 0 here
     cos_last = cos_all[:, order[-1]]
 
@@ -121,20 +116,11 @@ def _combine(w: CyclicWeights, order: list[int], sub: ResonanceCertificate,
         upper = np.min(-dh[down] / dc[down], initial=math.inf)
         if lower >= upper:
             continue
-        # pick a point well inside the interval
-        if math.isinf(upper):
-            r_n = lower + 1.0
-        else:
-            r_n = 0.5 * (lower + upper)
-        for attempt in range(3):
-            r = r_head.copy()
-            r[order[-1]] = r_n
-            cert = _certify(w, r, j)
-            if cert is not None:
-                return cert
-            # sine degenerate at this weight: nudge within the interval
-            r_n = lower + (upper - lower) * (0.25 + 0.25 * attempt) if math.isfinite(upper) \
-                else lower + 1.0 + 0.5 * (attempt + 1)
+        r = r_head.copy()
+        r[order[-1]] = lower + 1.0 if math.isinf(upper) else 0.5 * (lower + upper)
+        cert = _certify(w, r, j)
+        if cert is not None:
+            return cert
     return None
 
 
@@ -146,8 +132,7 @@ def _lp_search(w: CyclicWeights) -> ResonanceCertificate | None:
     from scipy.optimize import linprog
 
     q, n = w.q, w.n
-    thetas = w.phases(np.arange(q))
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    cos_t, sin_t = w.characters.real.copy(), w.characters.imag.copy()
     # variables: r_1..r_n, t; maximize t subject to (S(k)-S(j)) + t <= 0
     c = np.zeros(n + 1)
     c[-1] = -1.0
