@@ -42,9 +42,9 @@ def tyz_a1_estimate(rho_m1: float, rho_m2: float, m1: int, m2: int, n: int):
     return float(a1), float(resid)
 
 
-def scalar_curvature_profile(profile: RevolutionProfile, r: float,
-                             h: float | None = None) -> float:
-    """Scalar curvature S = K_G/(2 pi), K_G = -psi''/psi by second differences.
+def scalar_curvature_profile(profile: RevolutionProfile, r: float) -> float:
+    """Scalar curvature S = K_G/(2 pi), K_G = -psi''/psi by second differences
+    with step 1e-4 L on a profile of length L.
 
     Normalized so the round area-1 sphere gives S = 2 (matching a1 = 1).
     At a pole the one-sided limit is used; a pole slope below 1 marks a cone
@@ -52,8 +52,7 @@ def scalar_curvature_profile(profile: RevolutionProfile, r: float,
     L = profile.length
     if not (0.0 <= r <= L):
         raise ValueError("r outside the profile domain")
-    if h is None:
-        h = 1e-4 * L
+    h = 1e-4 * L
     if r < h or r > L - h:
         slope = profile.cone_slopes[0] if r < h else profile.cone_slopes[1]
         if slope < 1.0 - 1e-9:

@@ -49,8 +49,8 @@ class GramModel:
         if self.n_r < 8 or self.n_theta < 8:
             raise ValueError("quadrature grid too small")
 
-    def refined(self, factor: int = 2) -> "GramModel":
-        return GramModel(self.m, self.pert, self.n_r * factor, self.n_theta * factor)
+    def refined(self) -> "GramModel":
+        return GramModel(self.m, self.pert, self.n_r * 2, self.n_theta * 2)
 
 
 def fs_log_norms(m: int) -> np.ndarray:
@@ -80,12 +80,13 @@ def perturbed_area_density(pert: PerturbedPotential | None, x, y):
     return _phi_density(pert, x, y, np.hypot(x, y))[1]
 
 
-def perturbed_scalar_curvature(pert: PerturbedPotential | None, x: float, y: float,
-                               h: float = 1e-4) -> float:
+def perturbed_scalar_curvature(pert: PerturbedPotential | None, x: float, y: float) -> float:
     """S = K/(2 pi) with Gauss curvature K = -(1/2D) Laplacian(log D).
 
-    Central second differences of log D; the density itself is analytic.
-    Calibrated so the unperturbed sphere returns S = 2."""
+    Central second differences of log D with step 1e-4; the density itself is
+    analytic.  Calibrated so the unperturbed sphere returns S = 2."""
+    h = 1e-4
+
     def logD(xx, yy):
         return math.log(float(perturbed_area_density(pert, xx, yy)))
 
@@ -199,14 +200,14 @@ def rho_gram(G: np.ndarray, model: GramModel, z):
     return float(rho[0]) if np.ndim(z) == 0 else rho.reshape(np.shape(z))
 
 
-def rho_gram_field(model: GramModel, G: np.ndarray | None = None,
-                   n_lat: int = 96, n_theta: int = 128) -> KernelField:
+def rho_gram_field(model: GramModel, G: np.ndarray | None = None) -> KernelField:
     """Kernel sampled over the whole surface through the Gram path.
 
     |z| = tan(lat/2) covers the chart, with FS area element d(-cos lat)
     d theta / (4 pi) and the perturbed density in place of the FS factor.
-    The rule is composite Gauss-Legendre in cos(lat), edges at the cutoff's
-    seams |z| = 1 and 1/2, times the trapezoid rule in theta.  On a latitude
+    The rule is composite Gauss-Legendre in cos(lat) on 96 latitudes, edges
+    at the cutoff's seams |z| = 1 and 1/2, times the trapezoid rule on 128
+    angles.  On a latitude
     v* A v = sum_d c_d e^{i d theta}, c_d = sum_j |e_j| |e_{j+d}| A_{j,j+d}
     with A the inverse of the scaled Gram matrix: one diagonal at a time,
     then d folded mod n_theta and one inverse FFT.  The recorded radius is
@@ -215,7 +216,7 @@ def rho_gram_field(model: GramModel, G: np.ndarray | None = None,
 
     if G is None:
         G = gram_matrix(model)
-    m = model.m
+    m, n_lat, n_theta = model.m, 96, 128
     A = cho_solve((_scaled_factor(G), True), np.eye(m + 1))
     edges = np.array([1.0, 0.6, 0.0, -1.0])  # t = cos(lat) at |z| = 0, 1/2, 1, inf
     t, wt = _panels(edges, np.diff(np.round(n_lat * (1.0 - edges) / 2.0)).astype(int))

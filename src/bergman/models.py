@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID_NODES = 2048
+MAX_CHARACTERS = 1 << 22  # entries of a character table, 64 MB of complex128
 # QUADPACK's 21-point Gauss-Kronrod rule (qk21): the positive nodes, the
 # weights (the last for the centre), and the order in which it adds node pairs
 _K21_NODES = np.array([
@@ -80,6 +81,9 @@ class CyclicWeights:
     def characters(self) -> np.ndarray:
         """Read-only (q, n) table exp(1j * phases(arange(q))) of the characters
         e^{2 pi i k p_l / q_l}; .real and .imag are the phases' cos and sin."""
+        if self.q * self.n > MAX_CHARACTERS:
+            raise ValueError(f"Z_{self.q} on C^{self.n} needs {self.q * self.n} > "
+                             f"{MAX_CHARACTERS} character table entries")
         table = np.exp(1j * self.phases(np.arange(self.q)))
         table.flags.writeable = False
         return table

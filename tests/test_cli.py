@@ -80,6 +80,12 @@ class TestExitCodes:
         assert run(["lp", "--m", "3", "--p", "nan"]) == 2
         assert "p must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["orbifold-eval", "--z", "1"], ["resonance"],
+                                      ["subunity"], ["orbifold-ray", "--direction", "1"]])
+    def test_character_table_beyond_bound_is_2(self, argv, capsys):
+        assert run(argv + ["--weights", "1/5000011"]) == 2
+        assert "character table entries" in capsys.readouterr().err
+
     def test_oracle_beyond_candidate_budget_is_2(self, capsys):
         assert run(["orbifold-eval", "--weights", "1/3,1/3,1/3", "--z", "6,6,6",
                     "--oracle"]) == 2

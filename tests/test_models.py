@@ -53,6 +53,34 @@ class TestCyclicWeights:
         z = np.array([1 + 1j, 0.5 - 2j])
         assert np.allclose(np.abs(w.sigma(z)), np.abs(z))
 
+    @pytest.mark.parametrize("pairs", [[(1, 213)], [(7, 60), (11, 360)],
+                                       [(1, 8), (2, 9), (3, 35)]])  # q = 213, 360, 2520
+    def test_characters_are_cos_sin_exp_of_phases(self, pairs):
+        w = make_cyclic_weights(pairs)
+        theta = w.phases(np.arange(w.q))
+        e = w.characters
+        assert e.shape == (w.q, w.n) and e.dtype == complex
+        assert e.real.tobytes() == np.cos(theta).tobytes()
+        assert e.imag.tobytes() == np.sin(theta).tobytes()
+        assert e.tobytes() == np.exp(1j * theta).tobytes()
+
+    def test_characters_cached_read_only_and_outside_equality(self):
+        w = make_cyclic_weights([(1, 3), (2, 5)])
+        assert w.characters is w.characters
+        with pytest.raises(ValueError, match="read-only"):
+            w.characters[1, 0] = 1.0
+        fresh = make_cyclic_weights([(1, 3), (2, 5)])  # its table is not built
+        assert w == fresh and hash(w) == hash(fresh)
+        assert w.sigma([1.0, 1.0], 2).tobytes() == np.exp(1j * w.phases(2)).tobytes()
+
+    @pytest.mark.parametrize("pairs", [[(1, 5000011)], [(1, 1500007)] * 3])
+    def test_character_table_is_bounded(self, pairs):
+        # q n above MAX_CHARACTERS is refused before the table is allocated
+        w = make_cyclic_weights(pairs)
+        assert w.q * w.n > models.MAX_CHARACTERS == 1 << 22
+        with pytest.raises(ValueError, match="character table entries"):
+            w.characters
+
 
 class TestFk:
     @pytest.mark.parametrize("k", [1, 2, 5, 12])
@@ -117,6 +145,33 @@ class TestConeFamily:
         p = make_cone_family(4)
         r = np.linspace(1e-6, p.length - 1e-6, 5001)
         assert np.all(np.asarray(p.psi(r)) > 0)
+
+    @pytest.mark.parametrize("k", [2, 8, 40, 10**4])
+    def test_vector_call_equals_scalar_calls(self, k):
+        # each point lands on its own piece: seams, their float neighbours,
+        # random points and both ends, in shuffled order
+        prof = make_cone_family(k)
+        seams = np.array(prof.seams)
+        rng = np.random.default_rng(k)
+        r = np.concatenate([seams, np.nextafter(seams, -1.0), np.nextafter(seams, 9.0),
+                            rng.uniform(0.0, prof.length, 301), [0.0, prof.length]])
+        rng.shuffle(r)
+        scalar = [prof.psi(float(x)) for x in r]
+        assert all(type(v) is float for v in scalar)
+        assert prof.psi(r).tobytes() == np.array(scalar).tobytes()
+        assert prof.psi(r.reshape(-1, 2)).tobytes() == np.array(scalar).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 8, 40, 10**4])
+    def test_edge_inputs(self, k):
+        prof = make_cone_family(k)
+        for bad in (-1e-3, prof.length + 1e-3, [0.1, -math.inf], [math.inf, 0.1]):
+            with pytest.raises(ValueError, match="outside"):
+                prof.psi(bad)
+        assert math.isnan(prof.psi(math.nan))
+        both = prof.psi(np.array([math.nan, 0.5]))
+        assert math.isnan(both[0]) and both[1] == prof.psi(0.5)
+        empty = prof.psi(np.array([]))
+        assert empty.shape == (0,) and empty.dtype == float
 
     def test_area_decreases_toward_cone_limit(self):
         areas = [make_cone_family(k).area() for k in (2, 5, 10)]

@@ -107,6 +107,24 @@ class TestSubUnity:
             find_subunity_point(w, cert, k_max=0)
 
 
+class TestCharacterTable:
+    def test_margin_equals_cosine_reference(self):
+        """verify_certificate's margin equals min(S[j] - S[rivals]) with S from
+        np.cos of the phases, bit for bit, on constructed and random rays."""
+        rng = np.random.default_rng(14)
+        for w in random_weight_systems(240, seed=14, q_max=1000):
+            cert = construct_certificate(w)
+            for r, j in ((np.array(cert.r), cert.j),
+                         (rng.uniform(0.0, 1.0, w.n), int(rng.integers(1, w.q)))):
+                S = np.cos(w.phases(np.arange(w.q))) @ r
+                k = np.arange(1, w.q)
+                k = k[(k != j) & (k != w.q - j)]
+                ref = float(np.min(S[j] - S[k], initial=math.inf))
+                _, margin, _ = verify_certificate(w, ResonanceCertificate(tuple(r), j, 0.0, 1.0))
+                assert margin == ref, w.pairs
+            assert cert.margin == verify_certificate(w, cert)[1]
+
+
 class TestBattery:
     def test_battery_certificates_and_subunity(self):
         systems = random_weight_systems(200, seed=777)
