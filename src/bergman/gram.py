@@ -86,7 +86,6 @@ def perturbed_scalar_curvature(pert: PerturbedPotential | None, x: float, y: flo
     Central second differences of log D with step 1e-4; the density itself is
     analytic.  Calibrated so the unperturbed sphere returns S = 2."""
     h = 1e-4
-
     def logD(xx, yy):
         return math.log(float(perturbed_area_density(pert, xx, yy)))
 

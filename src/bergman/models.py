@@ -336,6 +336,7 @@ def _smoothed_fk_callable(k: int):
 
     def psi(r):
         x = np.asarray(r, dtype=float)
+        # "right" puts x0, x2, x4 in the piece they open, "left" x1, x3 in the one they close
         piece = np.searchsorted((x0, x2, x4), x, "right") + np.searchsorted((x1, x3), x, "left")
         out = np.empty_like(x)
         for i, g in enumerate(pieces):
