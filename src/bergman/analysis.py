@@ -63,13 +63,13 @@ def scalar_curvature_profile(profile: RevolutionProfile, r: float) -> float:
     return -d2 / p0 / (2.0 * math.pi)
 
 
-def lp_deviation(field: KernelField, p: float, n: int = 1) -> float:
-    """Volume-normalized L^p norm of m^{-n} rho - 1 over the samples.
+def lp_deviation(field: KernelField, p: float) -> float:
+    """Volume-normalized L^p norm of rho/m - 1 over the samples.
 
     Weights are the field's area elements; p = inf gives the sup deviation."""
     if not p >= 1:  # also rejects NaN
         raise ValueError("p must be >= 1 (or inf)")
-    dev = np.abs(field.values / float(field.m) ** n - 1.0)
+    dev = np.abs(field.values / float(field.m) - 1.0)
     if math.isinf(p):
         return float(np.max(dev))
     w = field.weights

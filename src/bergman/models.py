@@ -4,7 +4,8 @@ oscillating perturbation of the round sphere.
 All model objects are immutable after construction and safe to share between
 threads; the one lazy field, the table ``CyclicWeights.characters``, is filled
 on first read and read-only.  Profiles are a vectorized callable plus the radii
-of its seams, the points where it is only finitely smooth.
+of its seams, the points where it is only finitely smooth; their positivity is
+checked where psi is used, on the nodes of the potential table.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "rescale_to_area",
 ]
 
-DEFAULT_GRID_NODES = 2048
 MAX_CHARACTERS = 1 << 22  # entries of a character table, 64 MB of complex128
 # QUADPACK's 21-point Gauss-Kronrod rule (qk21): the positive nodes, the
 # weights (the last for the centre), and the order in which it adds node pairs
@@ -49,9 +49,7 @@ _K21_WEIGHTS = np.array([
     0.1494455540029169056649364683898212,
 ])
 _K21_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
-_AREA_TOL = 1e-13     # area rule: tolerance relative to the first pass's integral
-_AREA_DEPTH = 50      # bisections of a panel before the area quadrature gives up
-_AREA_PANELS = 4096   # live panels before it gives up
+_AREA_TOL = 1e-13  # area rule: tolerance relative to the integral
 CONE_KAPPA = 0.05  # the cone family satisfies -psi'' >= CONE_KAPPA * psi
 
 
@@ -153,15 +151,6 @@ def eval_f_k(k: int, r):
 # Revolution profiles
 # ---------------------------------------------------------------------------
 
-def _pole_clustered_grid(length: float, nodes: int) -> np.ndarray:
-    """Interior grid on (0, L) geometrically refined toward both poles."""
-    # arcsinh stretching of a uniform grid clusters nodes at both ends
-    t = np.linspace(-1.0, 1.0, nodes + 2)[1:-1]
-    c = 4.0
-    x = np.arcsinh(t * math.sinh(c)) / c
-    return (x + 1.0) * (length / 2.0)
-
-
 @dataclass(frozen=True)
 class RevolutionProfile:
     """Warp factor psi(r) of a metric dr^2 + psi(r)^2 dtheta^2 on S^2.
@@ -177,35 +166,25 @@ class RevolutionProfile:
     seams: tuple[float, ...] = ()
 
     def area(self) -> float:
-        """Total area 2*pi*int_0^L psi dr by adaptive Gauss-Kronrod quadrature.
+        """Total area 2*pi*int_0^L psi dr by Gauss-Kronrod quadrature.
 
-        The panels start at the seams.  A panel is halved while its 21-point
-        value and the sum of the same rule on its halves differ by more than
-        _AREA_TOL * |first pass| * width / L, so a corner off every seam is
-        resolved too.  The values of the accepted panels are added from left
-        to right: where every first panel is accepted, and quad accepts its
-        first pass too, this is the sum scipy.integrate.quad(psi, 0, L,
-        points=seams) returns, bit for bit."""
+        QUADPACK's 21-point rule runs once on each panel between the seams
+        and once on each half of it.  A panel whose value and the sum over its
+        halves differ by more than _AREA_TOL * |total| * width / L is refused:
+        a corner or a feature narrower than its panel, off every seam, raises
+        ArithmeticError.  The panel values are added from left to right, so
+        where quad accepts its first pass too this is the sum
+        scipy.integrate.quad(psi, 0, L, points=seams) returns, bit for bit."""
         L = self.length
         edges = np.array([0.0, *sorted(s for s in self.seams if 0.0 < s < L), L])
         a, b = edges[:-1], edges[1:]
-        left, vals, tol = [], [], None
-        for _ in range(_AREA_DEPTH):
-            if a.size > _AREA_PANELS:
-                break
-            mid = 0.5 * (a + b)
-            v = _kronrod21(self.psi, np.concatenate([a, a, mid]), np.concatenate([b, mid, b]))
-            whole, lo, hi = v.reshape(3, -1)  # whole, left and right halves
-            if tol is None:
-                tol = _AREA_TOL * abs(whole.sum()) / L
-            done = np.abs(whole - lo - hi) <= tol * (b - a)
-            left.append(a[done])
-            vals.append(whole[done])
-            a, b = np.concatenate([a[~done], mid[~done]]), np.concatenate([mid[~done], b[~done]])
-            if not a.size:
-                vals = np.concatenate(vals)[np.argsort(np.concatenate(left))]
-                return 2.0 * math.pi * float(np.cumsum(vals)[-1])  # cumsum adds in order
-        raise ArithmeticError(f"profile {self.name!r}: area quadrature did not converge")
+        mid = 0.5 * (a + b)
+        v = _kronrod21(self.psi, np.concatenate([a, a, mid]), np.concatenate([b, mid, b]))
+        whole, lo, hi = v.reshape(3, -1)  # whole, left and right halves
+        tol = _AREA_TOL * abs(whole.sum()) / L
+        if not (np.abs(whole - lo - hi) <= tol * (b - a)).all():
+            raise ArithmeticError(f"profile {self.name!r}: area quadrature did not converge")
+        return 2.0 * math.pi * float(np.cumsum(whole)[-1])  # cumsum adds in order
 
 
 def _kronrod21(psi, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -222,22 +201,13 @@ def _kronrod21(psi, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total * h
 
 
-def _finalize_profile(psi, length, d, slopes, name, seams=()) -> RevolutionProfile:
-    if (np.asarray(psi(_pole_clustered_grid(length, DEFAULT_GRID_NODES))) <= 0.0).any():
-        raise ValueError(f"profile {name!r}: psi must be positive on the interior")
-    return RevolutionProfile(
-        length=float(length), psi=psi, d=int(d), cone_slopes=(float(slopes[0]), float(slopes[1])),
-        name=name, seams=tuple(float(s) for s in seams),
-    )
-
-
 def round_sphere(d: int = 1) -> RevolutionProfile:
     """Round sphere normalized to area d (degree-d polarization)."""
     if d < 1:
         raise ValueError("degree must be a positive integer")
     radius = math.sqrt(d / (4.0 * math.pi))
     psi = lambda r: radius * np.sin(np.asarray(r) / radius)
-    return _finalize_profile(psi, math.pi * radius, d, (1.0, 1.0), f"round(d={d})")
+    return RevolutionProfile(math.pi * radius, psi, d, (1.0, 1.0), f"round(d={d})")
 
 
 def rescale_to_area(profile: RevolutionProfile, d: int) -> RevolutionProfile:
@@ -252,10 +222,8 @@ def rescale_to_area(profile: RevolutionProfile, d: int) -> RevolutionProfile:
         return profile
     base = profile.psi
     psi = lambda r: c * base(np.asarray(r) / c)
-    return _finalize_profile(
-        psi, c * profile.length, d, profile.cone_slopes,
-        profile.name + f"->area{d}", seams=[c * s for s in profile.seams],
-    )
+    return RevolutionProfile(c * profile.length, psi, d, profile.cone_slopes,
+                             profile.name + f"->area{d}", tuple(c * s for s in profile.seams))
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +322,9 @@ def make_cone_family(k: int) -> RevolutionProfile:
     if k < 1:
         raise ValueError("k must be a positive integer")
     psi, seams = _smoothed_fk_callable(k)
-    prof = _finalize_profile(psi, f_k_domain_end(k), 1, (1.0, 1.0), f"cone(k={k})", seams)
+    prof = RevolutionProfile(f_k_domain_end(k), psi, 1, (1.0, 1.0), f"cone(k={k})", seams)
     # second-difference check on a uniform grid
-    r = np.linspace(0.0, prof.length, 4 * DEFAULT_GRID_NODES + 1)[1:-1]
+    r = np.linspace(0.0, prof.length, 8193)[1:-1]
     h = r[1] - r[0]
     vals = np.asarray(psi(r))
     d2 = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h**2

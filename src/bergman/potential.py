@@ -7,7 +7,8 @@ a, u and phi = int 2a/psi dr are quadratures in r on 32-point Gauss-Legendre
 panels, edges at the seams and graded toward both poles, by one spectral
 integration matrix once their logarithms at the poles are taken out; u and
 phi vanish at the area-median radius.  Panels of half the width give an
-independent rule: the error estimate, and the nodes of the area check.
+independent rule: the error estimate, and the nodes of the area check.  psi
+must be positive at the nodes of both, where its log and inverse are taken.
 """
 
 from __future__ import annotations
@@ -159,8 +160,9 @@ class PotentialTable:
 def build_potential(profile: RevolutionProfile) -> PotentialTable:
     """Integrate the chart reduction of a profile to a PotentialTable.
 
-    The area is checked against the degree by adaptive quadrature first;
-    the panel rule's a(L) must then agree with that same quadrature."""
+    The area from profile.area() is checked against the degree first; psi
+    must then be positive at every node of both rules, and the panel rule's
+    a(L) must agree with that area."""
     L, d = profile.length, profile.d
     if L <= 0:
         raise ValueError("profile has no positive part")
@@ -178,12 +180,14 @@ def build_potential(profile: RevolutionProfile) -> PotentialTable:
     halves = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
     r = [_nodes(x)[1] for x in (edges, halves)]
     psi = np.asarray(profile.psi(np.concatenate([x.ravel() for x in r])), dtype=float)
+    if not (psi > 0.0).all():  # also refuses NaN
+        raise ValueError(f"profile {profile.name!r}: psi must be positive on the interior")
     (v, r0, rule), (v_check, _, check) = (
         _integrate(profile, x, p.reshape(y.shape))
         for x, p, y in zip((edges, halves), np.split(psi, [r[0].size]), r))
     if not abs(v[1, -1, 0] - area / (2.0 * math.pi)) <= 5e-9:  # phi' span 2 a(L) = d/pi
         raise RuntimeError(f"degree bookkeeping failed: phi' span {2.0 * v[1, -1, 0]} "
-                           f"vs {area / math.pi} by adaptive quadrature")
+                           f"vs {area / math.pi} from the profile's area")
     return PotentialTable(
         profile=profile, d=d, u_min=-(_TRUNC_LOG / (2.0 * profile.cone_slopes[0]) + _MARGIN),
         u_max=_TRUNC_LOG / (2.0 * profile.cone_slopes[1]) + _MARGIN, r_equator=r0,

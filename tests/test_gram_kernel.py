@@ -152,13 +152,30 @@ class TestPotential:
         exact = 2.0 * R_UNIT * np.arctan(np.exp(u))
         assert np.max(np.abs(t.r_of_u(u) / exact - 1.0)) < 1e-13
 
-    def test_unseamed_kink_fails_bookkeeping(self):
-        # a corner off every panel edge: the area quadrature adapts to it,
-        # the panel rule cannot, and the mismatch must not pass silently
+    def test_unseamed_kink_area_refused(self):
+        # a corner off every seam: the one-pass area rule cannot resolve it
+        # on its panel, and refuses the profile before any table is built
         apex = 1.0 / math.pi  # area 2 pi int psi = pi * apex = 1
         psi = lambda r: np.where(np.asarray(r) < apex, r, apex * (1.0 - np.asarray(r)) / (1.0 - apex))
         prof = RevolutionProfile(length=1.0, psi=psi, d=1, cone_slopes=(1.0, apex / (1.0 - apex)))
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            build_potential(prof)
+
+    def test_degree_bookkeeping_mismatch_fails(self, monkeypatch):
+        # panel weights off by 1e-6 move a(L) away from the profile's area
+        monkeypatch.setattr(potential, "_W", potential._W * (1.0 + 1e-6))
         with pytest.raises(RuntimeError, match="degree bookkeeping failed"):
+            build_potential(round_sphere())
+
+    def test_nonpositive_psi_refused(self):
+        # area 1, seams at the edges of a bump of height 0.5 that takes psi
+        # below zero on |r/c - 0.3| < 0.01; built directly, so only the table checks it
+        base = lambda r: np.sin(math.pi * r) / math.pi - np.where(np.abs(r - 0.3) < 0.01, 0.5, 0.0)
+        c = 1.0 / math.sqrt(4.0 / math.pi - 0.02 * math.pi)
+        prof = RevolutionProfile(length=c, psi=lambda r: c * base(np.asarray(r) / c), d=1,
+                                 cone_slopes=(1.0, 1.0), seams=(0.29 * c, 0.31 * c))
+        assert abs(prof.area() - 1.0) < 1e-12
+        with pytest.raises(ValueError, match="psi must be positive"):
             build_potential(prof)
 
 

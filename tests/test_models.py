@@ -191,7 +191,7 @@ class TestRoundSphereAndRescale:
         for d in (10**3, 10**4, 10**6):
             assert abs(round_sphere(d).area() / d - 1.0) <= 1e-15
 
-    @pytest.mark.parametrize("k", [10, 20, 40, 300])
+    @pytest.mark.parametrize("k", [10, 20, 40, 300, 1000, 5000])
     def test_cone_area_equals_adaptive_quad(self, k):
         # every first panel is accepted, so the rule adds what quad adds; the
         # shipped cone outputs (k = 10, 20, 40) rest on this
@@ -206,8 +206,8 @@ class TestRoundSphereAndRescale:
         lambda r: 1.0 + 1e-9 * np.sin(1e12 * np.asarray(r)),
     ], ids=["jump", "fast-oscillation"])
     def test_area_that_cannot_converge_fails_loudly(self, psi):
-        # no bisection depth resolves a jump to the tolerance; under the fast
-        # oscillation every panel fails, and the panel cap stops the doubling
+        # the 21-point rule on the one panel and on its halves disagree by
+        # more than the tolerance, so the area is refused
         prof = RevolutionProfile(length=1.0, psi=psi, d=1, cone_slopes=(1.0, 1.0))
         with pytest.raises(ArithmeticError, match="did not converge"):
             prof.area()
