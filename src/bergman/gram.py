@@ -55,10 +55,8 @@ class GramModel:
 
 def fs_log_norms(m: int) -> np.ndarray:
     """log of the FS monomial norms i!(m-i)!/(m+1)! (area-1 normalization)."""
-    from scipy.special import gammaln
-
-    i = np.arange(m + 1)
-    return gammaln(i + 1.0) + gammaln(m - i + 1.0) - gammaln(m + 2.0)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(m + 2)])
+    return log_fact[:m + 1] + log_fact[m::-1] - log_fact[m + 1]
 
 
 def _phi_density(pert: PerturbedPotential | None, x, y, rho):
@@ -165,10 +163,8 @@ def scaled_gram(G: np.ndarray) -> np.ndarray:
 
 def _scaled_factor(G: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of scaled_gram(G), taken once per model."""
-    from scipy.linalg import cholesky
-
     try:
-        return cholesky(scaled_gram(G), lower=True)
+        return np.linalg.cholesky(scaled_gram(G))
     except np.linalg.LinAlgError as e:
         lam = np.linalg.eigvalsh(scaled_gram(G))[0]
         raise np.linalg.LinAlgError(
@@ -177,10 +173,12 @@ def _scaled_factor(G: np.ndarray) -> np.ndarray:
 
 def _log_frame(m: int, r: np.ndarray) -> np.ndarray:
     """log |e_k(z)| (1+|z|^2)^{-m/2} at |z| = r, shape (len(r), m+1)."""
-    from scipy.special import xlogy
-
+    k = np.arange(m + 1)
+    with np.errstate(divide="ignore"):  # at r = 0, k log r is -inf for k > 0 and 0 for k = 0
+        log_r = np.log(r)[:, None]
+    k_log_r = np.multiply(k, log_r, out=np.zeros((len(r), m + 1)), where=k > 0)
     log_weight = fs_log_norms(m) + m * np.log1p(r * r)[:, None]
-    return xlogy(np.arange(m + 1), r[:, None]) - 0.5 * log_weight
+    return k_log_r - 0.5 * log_weight
 
 
 def rho_gram(G: np.ndarray, model: GramModel, z):
@@ -188,12 +186,10 @@ def rho_gram(G: np.ndarray, model: GramModel, z):
     affine-chart points: |L^{-1} v|^2 e^{m phi} in the basis e_k, with L the
     factor of scaled_gram(G) and the weight's root folded into v.  One point
     gives a float, an array of points an array of the same shape."""
-    from scipy.linalg import solve_triangular
-
     m = model.m
     zs = np.asarray(z, dtype=complex).ravel()
     V = np.exp(_log_frame(m, np.abs(zs)) + 1j * np.angle(zs)[:, None] * np.arange(m + 1))
-    W = solve_triangular(_scaled_factor(G), V.T, lower=True)
+    W = np.linalg.solve(_scaled_factor(G), V.T)
     phi = 0.0 if model.pert is None else np.asarray(model.pert.phi(zs), dtype=float)
     rho = _finite(np.sum(np.abs(W) ** 2, axis=0) * np.exp(m * phi), "kernel value")
     return float(rho[0]) if np.ndim(z) == 0 else rho.reshape(np.shape(z))
@@ -211,12 +207,11 @@ def rho_gram_field(model: GramModel, G: np.ndarray | None = None) -> KernelField
     with A the inverse of the scaled Gram matrix: one diagonal at a time,
     then d folded mod n_theta and one inverse FFT.  The recorded radius is
     the FS geodesic distance from the chart origin."""
-    from scipy.linalg import cho_solve
-
     if G is None:
         G = gram_matrix(model)
     m, n_lat, n_theta = model.m, 96, 128
-    A = cho_solve((_scaled_factor(G), True), np.eye(m + 1))
+    L_inv = np.linalg.inv(_scaled_factor(G))
+    A = L_inv.conj().T @ L_inv
     edges = np.array([1.0, 0.6, 0.0, -1.0])  # t = cos(lat) at |z| = 0, 1/2, 1, inf
     t, wt = _panels(edges, np.diff(np.round(n_lat * (1.0 - edges) / 2.0)).astype(int))
     r = np.sqrt((1.0 - t) / (1.0 + t))

@@ -110,20 +110,43 @@ def admissible_indices(w: CyclicWeights, degree_cap: int) -> list[tuple[int, ...
     return list(map(tuple, j.tolist()))
 
 
+def _log_poisson_tails(lam: float, caps: int) -> np.ndarray:
+    """log P(N > c), N ~ Poisson(lam), for c = 0..caps: the log of gammainc(c+1,
+    lam), in one pass.  l_k = -lam + sum_{i<=k} log(lam/i) is summed as parts
+    on a 2^-20 grid, which add exactly, plus small remainders; a tail is its
+    first term's grid part plus the rest.  Terms run 2 lam + 64 past the caps,
+    leaving out below 2^-64; for lam > caps + 1 a tail is 1 minus a head."""
+    if lam == 0.0:
+        return np.full(caps + 1, -math.inf)
+    upper = lam <= caps + 1  # tails summed from the far end; else 1 minus the heads
+    k = np.arange(1.0, caps + 1 + (64 + 2 * math.ceil(lam) if upper else 0))
+    x = np.concatenate(([-lam], np.log(lam / k)))
+    grid = np.round(x * 2.0 ** 20) / 2.0 ** 20
+    H, L = np.cumsum(grid), np.cumsum(x - grid)
+    l = H + L
+    if not upper:
+        return np.log1p(-np.exp(np.logaddexp.accumulate(l)))
+    r = np.logaddexp.accumulate(l[::-1])[::-1]  # r_k = log sum_{i >= k} p_i
+    c = slice(1, caps + 2)
+    return H[c] + (L[c] + np.logaddexp(0.0, r[2:caps + 3] - l[c]))
+
+
 def degree_cap_for(w: CyclicWeights, z, tol: float) -> int:
-    """Smallest cap whose Gaussian tail bound is below tol.
+    """Smallest cap in 1..2000 whose Gaussian tail bound q gammainc(cap+1,
+    pi |z|^2) is at most tol.
 
-    Raises if the admissible index count would exceed MAX_ORACLE_INDICES.
+    Raises if there is none, or if the admissible index count would exceed
+    MAX_ORACLE_INDICES.
     """
-    from scipy.special import gammainc
-
     z = _check_point(w, z)
     lam = math.pi * float(np.sum(np.abs(z) ** 2))
-    cap = 1
-    while w.q * gammainc(cap + 1, lam) > tol:
-        cap += 1
-        if cap > 2000:
-            raise ValueError("tail bound does not reach tolerance at a sane cap")
+    for caps in (128, 2000):  # one pass over the caps; the short one almost always does
+        hit = np.flatnonzero(w.q * np.exp(_log_poisson_tails(lam, caps)[1:]) <= tol)
+        if hit.size:
+            break
+    else:
+        raise ValueError("tail bound does not reach tolerance at a sane cap")
+    cap = int(hit[0]) + 1
     count = len(admissible_indices(w, cap))
     if count > MAX_ORACLE_INDICES:
         raise ValueError(f"oracle would need {count} > {MAX_ORACLE_INDICES} indices")
@@ -144,8 +167,6 @@ def rho_oracle(w: CyclicWeights, z, degree_cap: int) -> OracleResult:
     value = q e^{-pi|z|^2} sum_j pi^{|j|} |z^j|^2 / prod j_l!  over admissible
     multi-indices with |j| <= degree_cap.  Terms are evaluated in log space.
     """
-    from scipy.special import gammainc, gammaln
-
     z = _check_point(w, z)
     s = np.abs(z) ** 2
     lam = math.pi * float(np.sum(s))
@@ -153,26 +174,63 @@ def rho_oracle(w: CyclicWeights, z, degree_cap: int) -> OracleResult:
     if len(idx) > MAX_ORACLE_INDICES:
         raise ValueError(f"{len(idx)} indices exceed the {MAX_ORACLE_INDICES} cap")
     with np.errstate(divide="ignore"):
-        log_s = np.where(s > 0, np.log(np.maximum(s, 1e-300)), -np.inf)
-    j = np.array(idx, dtype=float).reshape(-1, w.n)
-    with np.errstate(invalid="ignore"):
-        lt = np.sum(np.where(j > 0, j * (math.log(math.pi) + log_s), 0.0), axis=1)
+        log_pi_s = math.log(math.pi) + np.log(s)
+    j = np.array(idx, dtype=np.int64).reshape(-1, w.n)
+    lt = np.multiply(j, log_pi_s, out=np.zeros(j.shape), where=j > 0).sum(axis=1)
     live = np.isfinite(lt)  # z_l = 0 with j_l > 0: term vanishes
-    logs = lt[live] - np.sum(gammaln(j[live] + 1.0), axis=1)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(degree_cap + 1)])
+    logs = lt[live] - np.sum(log_fact[j[live]], axis=1)
     value = w.q * math.exp(logsumexp(logs) - lam) if logs.size else 0.0
-    tail = w.q * float(gammainc(degree_cap + 1, lam)) if lam > 0 else 0.0
+    tail = w.q * math.exp(_log_poisson_tails(lam, degree_cap)[-1])
     return OracleResult(value=float(value), tail_bound=tail,
                         degree_cap=degree_cap, n_indices=len(idx))
+
+
+def _brent_min(f, a: float, b: float, xatol: float):
+    """Brent's bounded minimization of f on [a, b] (Forsythe, Malcolm and
+    Moler's fmin): a parabolic step through the three best points where it
+    is trusted, a golden-section step otherwise.  Returns (x, f(x))."""
+    c, sqrt_eps = 0.5 * (3.0 - math.sqrt(5.0)), math.sqrt(2.2e-16)
+    v = w = x = a + c * (b - a)
+    fv = fw = fx = f(x)
+    d = e = 0.0
+    for _ in range(499):  # evaluations after the first
+        xm, tol1 = 0.5 * (a + b), sqrt_eps * abs(x) + xatol / 3.0
+        if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
+            break
+        e_prev, parabolic = e, False
+        if abs(e) > tol1:
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q, e = (-p if q > 0.0 else p), abs(q), d
+            parabolic = abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x)
+        if parabolic:
+            d = p / q
+            if x + d - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                d = tol1 if xm >= x else -tol1
+        else:
+            e = (a if x >= xm else b) - x
+            d = c * e
+        u = x + (d if abs(d) >= tol1 else tol1 if d >= 0.0 else -tol1)
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def min_on_ray(w: CyclicWeights, direction, t_max: float, nodes: int = 512) -> tuple[float, float]:
     """Scan t -> rho(t*sqrt(r)) on (0, t_max] and refine the best node.
 
-    Returns (t*, rho*).  The refinement is a bounded golden-section search
-    with |dt| tolerance 1e-8.
+    Returns (t*, rho*).  The refinement is Brent's bounded search between the
+    best node's neighbours, with |dt| tolerance 1e-8.
     """
-    from scipy.optimize import minimize_scalar
-
     r = np.asarray(direction, dtype=float)
     if r.shape != (w.n,) or not np.all(np.isfinite(r)) or np.any(r < 0) or not np.any(r > 0):
         raise ValueError("direction must be finite, nonnegative, not all zero, length n")
@@ -188,9 +246,7 @@ def min_on_ray(w: CyclicWeights, direction, t_max: float, nodes: int = 512) -> t
     hi = ts[min(i + 1, nodes - 1)]
     if lo == hi:
         return float(ts[i]), float(vals[i])
-    res = minimize_scalar(lambda t: rho_closed(w, t * sq), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-8})
-    t_best, v_best = float(res.x), float(res.fun)
+    t_best, v_best = _brent_min(lambda t: rho_closed(w, t * sq), float(lo), float(hi), 1e-8)
     if vals[i] < v_best:
         t_best, v_best = float(ts[i]), float(vals[i])
     return t_best, v_best

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CyclicWeights, make_cyclic_weights
+from .models import MAX_CHARACTERS, CyclicWeights, make_cyclic_weights
 from .orbifold import min_on_ray, rho_closed
 
 __all__ = [
@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 SIN_MIN = 1e-9
+MARGIN_MIN = 1e-9  # cosine margin a searched direction must clear
+MAX_SEARCH_DIRECTIONS = 1 << 14  # (G+1)^n bound on the direction search's grid
 
 
 @dataclass(frozen=True)
@@ -124,40 +126,32 @@ def _combine(w: CyclicWeights, order: list[int], sub: ResonanceCertificate,
     return None
 
 
-def _lp_search(w: CyclicWeights) -> ResonanceCertificate | None:
-    """Deterministic direct search: for each candidate j, maximize the worst
-    cosine gap by linear programming over r >= 0, with the sine sum pinned
-    away from zero.  Returns the first j (in quality order) that admits a
-    strict certificate."""
-    from scipy.optimize import linprog
-
+def _direction_search(w: CyclicWeights) -> ResonanceCertificate:
+    """Search the integer ray directions r in {0..G}^n with gcd 1 for G = 4, 8,
+    16, ... while (G+1)^n <= MAX_SEARCH_DIRECTIONS.  The cosine sums of a block
+    of directions are one matrix product, of at most MAX_CHARACTERS entries; a
+    direction whose near-maximal set over k = 1..q-1 (within MARGIN_MIN) is
+    {j, q-j} goes to the exhaustive verifier.  Past the cap it raises."""
     q, n = w.q, w.n
-    cos_t, sin_t = w.characters.real.copy(), w.characters.imag.copy()
-    # variables: r_1..r_n, t; maximize t subject to (S(k)-S(j)) + t <= 0
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    bounds = [(0.0, None)] * n + [(None, 1.0)]
-
-    # prefer characters with large cosines
-    for j in (np.argsort(-cos_t[1:].sum(axis=1), kind="stable") + 1).tolist():
-        if np.all(np.abs(sin_t[j]) < 1e-12):
-            continue
-        k = _rivals(q, j)
-        A_ub = np.column_stack((cos_t[k] - cos_t[j], np.ones(k.size))) if k.size else None
-        b_ub = np.zeros(k.size) if k.size else None
-        for sign in (1.0, -1.0):
-            res = linprog(c, A_ub=A_ub, b_ub=b_ub,
-                          A_eq=np.append(sign * sin_t[j], 0.0)[None], b_eq=np.array([1.0]),
-                          bounds=bounds, method="highs")
-            if not res.success:
-                continue
-            t_star = -res.fun
-            if k.size and t_star <= 1e-9:
-                continue
-            cert = _certify(w, np.maximum(res.x[:n], 0.0), j)
-            if cert is not None:
-                return cert
-    return None
+    cos_t = w.characters.real[1:].copy()  # rows k = 1..q-1
+    block = max(1, min(64, MAX_CHARACTERS // q))
+    G, low = 4, 0
+    while (G + 1) ** n <= MAX_SEARCH_DIRECTIONS:
+        R = np.indices((G + 1,) * n).reshape(n, -1)
+        R = R[:, (R.max(axis=0) > low) & (np.gcd.reduce(R, axis=0) == 1)]  # new at this G
+        for i in range(0, R.shape[1], block):
+            S = cos_t @ R[:, i:i + block]
+            cols = np.arange(S.shape[1])
+            k = S.argmax(axis=0)  # row k is character k+1
+            near = S >= S[k, cols] - MARGIN_MIN
+            pair = (near.sum(axis=0) == 2) & near[q - k - 2, cols]  # {k+1, q-k-1} alone
+            for c in np.flatnonzero(pair & (2 * k + 2 != q)).tolist():
+                cert = _certify(w, R[:, i + c].astype(float), int(min(k[c] + 1, q - k[c] - 1)))
+                if cert is not None:
+                    return cert
+        G, low = 2 * G, G
+    raise RuntimeError(f"no certificate for weights {w.pairs} on the integer ray "
+                       f"directions up to {low}")
 
 
 def construct_certificate(w: CyclicWeights) -> ResonanceCertificate:
@@ -169,17 +163,15 @@ def construct_certificate(w: CyclicWeights) -> ResonanceCertificate:
     recursively, and the remaining order q/q' is absorbed by the last
     coordinate.  The literal combination rule of the source argument does not
     always yield a verifying certificate, so the block index and the new ray
-    weight are chosen by explicit feasibility; a linear-programming search
-    over all candidate characters is the fallback.  Every returned
-    certificate has passed the exhaustive verifier.
+    weight are chosen by explicit feasibility.  Where that fails, a search
+    over integer ray directions takes over; it stops after about
+    MAX_SEARCH_DIRECTIONS directions with RuntimeError ("no certificate",
+    exit code 1 in the CLI).  Every returned certificate has passed the
+    exhaustive verifier.
     """
     if w.q <= 2:
         raise ValueError("resonance requires q >= 3")
-    cert = _construct_recursive(w)
-    if cert is None:
-        cert = _lp_search(w)
-    if cert is None:
-        raise RuntimeError(f"no resonance certificate found for weights {w.pairs}")
+    cert = _construct_recursive(w) or _direction_search(w)
     ok, margin, _ = verify_certificate(w, cert)
     if not ok:
         raise AssertionError("constructed certificate failed exhaustive verification")
@@ -217,7 +209,7 @@ def _construct_recursive(w: CyclicWeights) -> ResonanceCertificate | None:
             if combined is not None:
                 return combined
     # head block of order < 3 (or combination infeasible): no proof-shaped
-    # certificate; caller falls back to the LP search
+    # certificate; caller falls back to the direction search
     return None
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bergman
-from bergman import cli
+from bergman import cli, resonance
 from bergman.cli import RunConfig, parse_config, run
 from bergman.gram import GramModel, gram_matrix
 from bergman.models import PerturbedPotential
@@ -125,6 +125,16 @@ class TestExitCodes:
         assert "computation failed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_direction_search_past_its_cap_is_1(self, tmp_path, monkeypatch, capsys):
+        # 1/2,1/3 has no recursive certificate, so it reaches the direction
+        # search; with no direction allowed that search finds none: a failed
+        # computation, not bad input
+        monkeypatch.setattr(resonance, "MAX_SEARCH_DIRECTIONS", 0)
+        out = tmp_path / "r.csv"
+        assert run(["resonance", "--weights", "1/2,1/3", "--out", str(out)]) == 1
+        assert "no certificate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_command_is_2(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
@@ -192,18 +202,30 @@ class TestOutputFormat:
         assert "n,m,rho_exact,rho_oracle" in proc.stdout
         assert "2,3,20,20" in proc.stdout
 
-    def test_import_and_sweep_load_no_scipy(self):
-        # SciPy is imported on first use by the orbifold, resonance and Gram
-        # paths only; the import and the revolution path never load it
+    def test_import_and_sweep_load_no_scipy(self, tmp_path):
+        # neither the import, the revolution path nor any subcommand loads
+        # SciPy: every shipped config, the perturbed Gram path, a ray, and a
+        # resonance system that takes the direction search
         src = str(Path(bergman.__file__).resolve().parents[1])
+        configs = sorted(str(p) for p in (Path(src).parent / "configs").glob("*.json"))
+        assert configs
+        argvs = [["config", c] for c in configs] + [
+            ["gram", "--m", "6", "--pert", "6", "--out", "g.csv"],
+            ["orbifold-ray", "--weights", "1/4,1/6", "--direction", "1,1", "--out", "o.csv"],
+            ["resonance", "--weights", "1/2,1/3", "--out", "r.csv"],
+            ["subunity", "--weights", "1/3,1/5", "--out", "s.csv"]]
         code = ("import sys; import bergman, bergman.cli; "
                 "print(sorted(k for k in sys.modules if k.startswith('scipy'))); "
                 "bergman.cone_sweep([10], [25], n_samples=64); "
-                "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+                "print(sorted(k for k in sys.modules if k.startswith('scipy'))); "
+                f"codes = [bergman.cli.run(a) for a in {argvs!r}]; "
+                "print(codes, sorted(k for k in sys.modules if k.startswith('scipy')))")
+        (tmp_path / "out").mkdir()
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+                              timeout=300, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "[]"]
+        assert proc.stdout.splitlines()[:2] == ["[]", "[]"]
+        assert proc.stdout.splitlines()[-1] == f"{[0] * len(argvs)} []"
 
     def test_repeated_runs_in_one_process(self, tmp_path, capsys):
         # the parser is built once per process; every call parses afresh

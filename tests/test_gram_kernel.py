@@ -424,6 +424,25 @@ class TestGram:
         for z in (0.0, 0.5 + 0.2j, 1.0, 3.0 - 1.0j):
             assert abs(rho_gram(G, model, z) - (m + 1)) < 1e-10
 
+    @pytest.mark.parametrize("m", [1, 8, 40, 200, 400])
+    def test_unperturbed_origin_and_field_are_m_plus_1(self, m):
+        # at z = 0, k log|z| is -inf for k > 0 and 0 for k = 0, with no
+        # RuntimeWarning from the log of 0
+        model = GramModel(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rho_gram(gram_matrix(model), model, 0.0) == pytest.approx(m + 1, rel=1e-12)
+            assert np.max(np.abs(rho_gram_field(model).values / (m + 1) - 1.0)) <= 1e-12
+
+    def test_fs_log_norms_match_gammaln(self):
+        # math.lgamma against SciPy's gammaln: within 4 ulp of the three
+        # log-factorials i!, (m-i)! and (m+1)! that each norm combines
+        for m in range(1, 401):
+            i = np.arange(m + 1)
+            terms = (gammaln(i + 1.0), gammaln(m - i + 1.0), gammaln(m + 2.0))
+            ulp = sum(np.spacing(t) for t in terms)
+            assert np.all(np.abs(fs_log_norms(m) - (terms[0] + terms[1] - terms[2])) <= 4 * ulp)
+
     def test_basis_rescaling_invariance(self):
         model = GramModel(8, PerturbedPotential(6))
         G = gram_matrix(model)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergman import orbifold
 from bergman.models import make_cyclic_weights
 from bergman.orbifold import (
     admissible_indices,
@@ -163,7 +165,102 @@ class TestOracle:
         assert abs(res.value - rho_closed(w, [1.0, 0.0])) <= res.tail_bound + 1e-10
 
 
+class TestPoissonTail:
+    """The oracle's tail bound q gammainc(cap + 1, lam), lam = pi |z|^2, as a
+    Poisson tail in numpy, against mpmath and SciPy."""
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.7, 9.5, 42.0, 137.5, 200.0])
+    def test_matches_mpmath(self, lam):
+        # relative 1e-13 on the value; below 1e-300 on the log
+        log_tails = orbifold._log_poisson_tails(lam, 400)
+        with mp.workdps(30):
+            for cap in range(1, 401):
+                ref = mp.gammainc(cap + 1, 0, mp.mpf(lam), regularized=True)
+                got = mp.mpf(float(log_tails[cap]))
+                if ref > mp.mpf("1e-300"):
+                    assert abs(mp.exp(got) / ref - 1) <= 1e-13, (lam, cap)
+                else:
+                    assert abs(got / mp.log(ref) - 1) <= 1e-13, (lam, cap)
+
+    @pytest.mark.parametrize("lam, caps", [(0.5, 0), (1e-300, 0), (3.0, 1), (250.0, 128),
+                                           (5000.0, 2000)])
+    def test_short_and_complement_ranges(self, lam, caps):
+        # caps below lam - 1 are 1 minus the head sums; about 20 caps checked
+        log_tails = orbifold._log_poisson_tails(lam, caps)
+        assert log_tails.shape == (caps + 1,)
+        with mp.workdps(30):
+            for cap in range(0, caps + 1, max(1, caps // 20)):
+                ref = mp.gammainc(cap + 1, 0, mp.mpf(lam), regularized=True)
+                assert abs(mp.exp(mp.mpf(float(log_tails[cap]))) / ref - 1) <= 1e-13
+
+    def test_zero_lambda(self):
+        assert np.all(orbifold._log_poisson_tails(0.0, 5) == -math.inf)
+        w = make_cyclic_weights([(1, 3), (1, 5)])
+        assert degree_cap_for(w, [0.0, 0.0], 1e-12) == 1
+        assert rho_oracle(w, [0.0, 0.0], 4).tail_bound == 0.0
+
+    def test_degree_caps_equal_scipy_loop(self):
+        # the parent loop: the first cap >= 1 with q gammainc(cap + 1, lam) <= tol
+        gammainc = pytest.importorskip("scipy.special").gammainc
+        for pairs, radii in (([(1, 3)], (0.05, 0.9, 2.5, 4.0, 6.5, 9.0)),
+                             ([(1, 3), (1, 5)], (0.0, 0.3, 1.7, 2.5)),
+                             ([(1, 2), (1, 3), (5, 12)], (0.3, 0.9, 1.7))):
+            w = make_cyclic_weights(pairs)
+            for radius in radii:
+                z = np.full(w.n, radius / math.sqrt(w.n))
+                lam = math.pi * float(np.sum(np.abs(z) ** 2))
+                for tol in (1e-3, 1e-8, 1e-11, 1e-12, 1e-15, 1e-30):
+                    cap = 1
+                    while w.q * gammainc(cap + 1, lam) > tol:
+                        cap += 1
+                    assert degree_cap_for(w, z, tol) == cap, (pairs, radius, tol)
+
+
+def _benchmark_systems(seed):
+    """The weight systems of the orbifold benchmark for one seed: for each
+    (q, n) slot, q_l dividing q with lcm q, p_l coprime to q_l."""
+    slots = ((3, 1), (4, 2), (5, 3), (6, 2), (7, 1), (8, 3), (9, 2), (10, 3), (12, 2), (15, 3),
+             (20, 2), (28, 3), (36, 2), (45, 3), (60, 2), (84, 3), (120, 2), (168, 3),
+             (210, 2), (252, 3), (360, 2))
+    rng = random.Random(seed)
+    systems = []
+    for q, n in slots:
+        divisors = [d for d in range(2, q + 1) if q % d == 0]
+        qs = [rng.choice(divisors) for _ in range(n)]
+        while math.lcm(*qs) != q:
+            qs = [rng.choice(divisors) for _ in range(n)]
+        pairs = []
+        for ql in qs:
+            p = rng.randrange(1, ql)
+            while math.gcd(p, ql) != 1:
+                p = rng.randrange(1, ql)
+            pairs.append((p, ql))
+        systems.append(make_cyclic_weights(pairs))
+    return systems
+
+
 class TestRayMinimum:
+    def test_brent_refine_matches_scipy_bounded(self):
+        # on each certificate ray of the benchmark's seed-1 systems, scanned
+        # to 1.5 times the witness radius on 192 nodes: the same t* within
+        # 1e-8 as SciPy's bounded Brent, with no more evaluations
+        minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+        from bergman.resonance import construct_certificate, find_subunity_point
+
+        for w in _benchmark_systems(1):
+            cert = construct_certificate(w)
+            sq = np.sqrt(np.array(cert.r))
+            ts = np.linspace(0.0, 1.5 * find_subunity_point(w, cert).t, 193)[1:]
+            i = int(np.argmin(rho_closed(w, ts[:, None] * sq)))
+            lo, hi = float(ts[max(i - 1, 0)]), float(ts[min(i + 1, 191)])
+            ours, ref = [], []
+            t_ours, _ = orbifold._brent_min(lambda t: ours.append(t) or rho_closed(w, t * sq),
+                                            lo, hi, 1e-8)
+            res = minimize_scalar(lambda t: ref.append(t) or rho_closed(w, t * sq),
+                                  bounds=(lo, hi), method="bounded", options={"xatol": 1e-8})
+            assert abs(t_ours - res.x) <= 1e-8 and len(ours) <= len(ref), w.pairs
+
+
     def test_z3_ray_minimum_fixture(self):
         w = make_cyclic_weights([(1, 3)])
         t_star, rho_star = min_on_ray(w, [1.0], 3.0)

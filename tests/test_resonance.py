@@ -1,8 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from bergman import resonance
 from bergman.models import make_cyclic_weights
 from bergman.orbifold import rho_closed
 from bergman.resonance import (
@@ -68,7 +70,7 @@ class TestConstruction:
         ([(1, 3)], 1, (1.0,)),                                            # base case
         ([(1, 8), (1, 12), (1, 3)], 1, (1.0, 6.478215600015481, 0.0)),    # q / q' = 1
         ([(1, 4), (1, 3)], 9, (1.0, 1.6666666666666667)),                 # _combine
-        ([(1, 2), (1, 3)], 4, (1.3660254037844375, 1.1547005383792508)),  # LP fallback
+        ([(1, 2), (1, 3)], 2, (1.0, 1.0)),                                # direction search
     ])
     def test_pinned_certificate_per_branch(self, pairs, j, r):
         cert = construct_certificate(make_cyclic_weights(pairs))
@@ -135,3 +137,54 @@ class TestBattery:
             wit = find_subunity_point(w, cert)
             assert wit.found and wit.k <= 50, f"no sub-unity point for {w.pairs}"
             assert wit.rho < 1.0
+
+
+def _coprime_battery(seed, count, n_of, draw_q, q_max):
+    """count systems from random.Random(seed): system i has n_of(i)
+    coordinates with q_l = draw_q(rng), redrawn until 3 <= lcm <= q_max, then
+    p_l uniform in 1..q_l-1 and coprime to q_l."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        qs = [draw_q(rng) for _ in range(n_of(len(out)))]
+        if 3 <= math.lcm(*qs) <= q_max:
+            pairs = []
+            for ql in qs:
+                p = rng.randrange(1, ql)
+                while math.gcd(p, ql) != 1:
+                    p = rng.randrange(1, ql)
+                pairs.append((p, ql))
+            out.append(tuple(pairs))
+    return out
+
+
+ORDERS_B = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 18, 20, 24, 30, 36, 45, 60, 72, 90, 120,
+            180, 210, 360)
+MARGIN_FLOOR = 1e-9
+
+
+@pytest.mark.parametrize("battery", [
+    # A: n = 1, 2, 3 in turn, q_l uniform in 2..60, q <= 3000
+    (7, 1200, lambda i: 1 + i % 3, lambda rng: rng.randint(2, 60), 3000),
+    # B: n = 2, 3, 4 in turn, q_l from highly composite orders, q <= 20000
+    (11, 1500, lambda i: 2 + i % 3, lambda rng: rng.choice(ORDERS_B), 20000),
+], ids=["A", "B"])
+def test_certificate_battery(battery, monkeypatch):
+    """Every certificate verifies, clears MARGIN_FLOOR, and passes a check
+    with unreduced phases cos(2 pi k p_l / q_l); the direction search, which
+    raises past its cap, serves a few hundred of the systems."""
+    searched = []
+    search = resonance._direction_search
+    monkeypatch.setattr(resonance, "_direction_search",
+                        lambda w: searched.append(w.pairs) or search(w))
+    for pairs in _coprime_battery(*battery):
+        w = make_cyclic_weights(pairs)
+        cert = construct_certificate(w)
+        ok, margin, argmax = verify_certificate(w, cert)
+        assert ok and margin >= MARGIN_FLOOR and argmax == {cert.j, w.q - cert.j}, pairs
+        theta = 2.0 * math.pi * np.outer(np.arange(w.q), [p / ql for p, ql in pairs])
+        S = np.cos(theta) @ np.array(cert.r)
+        rivals = [k for k in range(1, w.q) if k not in (cert.j, w.q - cert.j)]
+        assert S[cert.j] - np.max(S[rivals], initial=-math.inf) >= MARGIN_FLOOR, pairs
+        assert abs(np.sin(theta[cert.j]) @ np.array(cert.r)) >= resonance.SIN_MIN, pairs
+    assert len(searched) >= 150
