@@ -211,7 +211,7 @@ def rho_gram_field(model: GramModel, G: np.ndarray | None = None) -> KernelField
         G = gram_matrix(model)
     m, n_lat, n_theta = model.m, 96, 128
     L_inv = np.linalg.inv(_scaled_factor(G))
-    A = L_inv.conj().T @ L_inv
+    A = L_inv.conj().T @ L_inv  # (L L^H)^{-1}
     edges = np.array([1.0, 0.6, 0.0, -1.0])  # t = cos(lat) at |z| = 0, 1/2, 1, inf
     t, wt = _panels(edges, np.diff(np.round(n_lat * (1.0 - edges) / 2.0)).astype(int))
     r = np.sqrt((1.0 - t) / (1.0 + t))

@@ -116,8 +116,8 @@ def _log_poisson_tails(lam: float, caps: int) -> np.ndarray:
     on a 2^-20 grid, which add exactly, plus small remainders; a tail is its
     first term's grid part plus the rest.  Terms run 2 lam + 64 past the caps,
     leaving out below 2^-64; for lam > caps + 1 a tail is 1 minus a head."""
-    if lam == 0.0:
-        return np.full(caps + 1, -math.inf)
+    if lam == 0.0 or lam == math.inf:  # no tail, or all of it
+        return np.full(caps + 1, 0.0 if lam else -math.inf)
     upper = lam <= caps + 1  # tails summed from the far end; else 1 minus the heads
     k = np.arange(1.0, caps + 1 + (64 + 2 * math.ceil(lam) if upper else 0))
     x = np.concatenate(([-lam], np.log(lam / k)))
@@ -140,7 +140,7 @@ def degree_cap_for(w: CyclicWeights, z, tol: float) -> int:
     """
     z = _check_point(w, z)
     lam = math.pi * float(np.sum(np.abs(z) ** 2))
-    for caps in (128, 2000):  # one pass over the caps; the short one almost always does
+    for caps in (128, 2000):  # one pass over the caps; 128 suffice unless lam or q/tol is large
         hit = np.flatnonzero(w.q * np.exp(_log_poisson_tails(lam, caps)[1:]) <= tol)
         if hit.size:
             break

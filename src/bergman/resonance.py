@@ -128,14 +128,17 @@ def _combine(w: CyclicWeights, order: list[int], sub: ResonanceCertificate,
 
 def _direction_search(w: CyclicWeights) -> ResonanceCertificate:
     """Search the integer ray directions r in {0..G}^n with gcd 1 for G = 4, 8,
-    16, ... while (G+1)^n <= MAX_SEARCH_DIRECTIONS.  The cosine sums of a block
-    of directions are one matrix product, of at most MAX_CHARACTERS entries; a
+    16, ... while (G+1)^n <= MAX_SEARCH_DIRECTIONS, starting at G = 2 or 1
+    where the 4-grid alone is larger.  The cosine sums of a block of
+    directions are one matrix product, of at most MAX_CHARACTERS entries; a
     direction whose near-maximal set over k = 1..q-1 (within MARGIN_MIN) is
     {j, q-j} goes to the exhaustive verifier.  Past the cap it raises."""
     q, n = w.q, w.n
     cos_t = w.characters.real[1:].copy()  # rows k = 1..q-1
-    block = max(1, min(64, MAX_CHARACTERS // q))
+    block = max(1, min(64, MAX_CHARACTERS // q))  # most systems certify in the first block
     G, low = 4, 0
+    while G > 1 and (G + 1) ** n > MAX_SEARCH_DIRECTIONS:  # n >= 7
+        G //= 2
     while (G + 1) ** n <= MAX_SEARCH_DIRECTIONS:
         R = np.indices((G + 1,) * n).reshape(n, -1)
         R = R[:, (R.max(axis=0) > low) & (np.gcd.reduce(R, axis=0) == 1)]  # new at this G
@@ -150,8 +153,8 @@ def _direction_search(w: CyclicWeights) -> ResonanceCertificate:
                 if cert is not None:
                     return cert
         G, low = 2 * G, G
-    raise RuntimeError(f"no certificate for weights {w.pairs} on the integer ray "
-                       f"directions up to {low}")
+    raise RuntimeError(f"no certificate for weights {w.pairs} on integer ray directions "
+                       f"within the {MAX_SEARCH_DIRECTIONS}-point grid")
 
 
 def construct_certificate(w: CyclicWeights) -> ResonanceCertificate:

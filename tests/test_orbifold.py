@@ -193,8 +193,9 @@ class TestPoissonTail:
                 ref = mp.gammainc(cap + 1, 0, mp.mpf(lam), regularized=True)
                 assert abs(mp.exp(mp.mpf(float(log_tails[cap]))) / ref - 1) <= 1e-13
 
-    def test_zero_lambda(self):
+    def test_zero_and_infinite_lambda(self):
         assert np.all(orbifold._log_poisson_tails(0.0, 5) == -math.inf)
+        assert np.all(orbifold._log_poisson_tails(math.inf, 5) == 0.0)
         w = make_cyclic_weights([(1, 3), (1, 5)])
         assert degree_cap_for(w, [0.0, 0.0], 1e-12) == 1
         assert rho_oracle(w, [0.0, 0.0], 4).tail_bound == 0.0

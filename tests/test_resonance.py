@@ -188,3 +188,12 @@ def test_certificate_battery(battery, monkeypatch):
         assert S[cert.j] - np.max(S[rivals], initial=-math.inf) >= MARGIN_FLOOR, pairs
         assert abs(np.sin(theta[cert.j]) @ np.array(cert.r)) >= resonance.SIN_MIN, pairs
     assert len(searched) >= 150
+
+
+def test_seven_coordinates_search_a_coarser_grid():
+    # 5^7 grid points exceed the cap, so the search starts at G = 2; the
+    # recursive construction has no certificate for this system
+    w = make_cyclic_weights([(1, 2)] * 3 + [(1, 3)] + [(1, 2)] * 3)
+    assert resonance._construct_recursive(w) is None
+    cert = construct_certificate(w)
+    assert verify_certificate(w, cert)[0] and max(cert.r) <= 2
