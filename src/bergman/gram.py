@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelField
+from .kernels import KernelField, log_factorials
 from .models import PerturbedPotential
 
 __all__ = [
@@ -55,7 +55,7 @@ class GramModel:
 
 def fs_log_norms(m: int) -> np.ndarray:
     """log of the FS monomial norms i!(m-i)!/(m+1)! (area-1 normalization)."""
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(m + 2)])
+    log_fact = log_factorials(m + 1)
     return log_fact[:m + 1] + log_fact[m::-1] - log_fact[m + 1]
 
 
@@ -161,10 +161,10 @@ def scaled_gram(G: np.ndarray) -> np.ndarray:
     return s[:, None] * G * s
 
 
-def _scaled_factor(G: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of scaled_gram(G), taken once per model."""
+def _inverse_factor(G: np.ndarray) -> np.ndarray:
+    """L^{-1} for the lower Cholesky factor L of scaled_gram(G)."""
     try:
-        return np.linalg.cholesky(scaled_gram(G))
+        return np.linalg.inv(np.linalg.cholesky(scaled_gram(G)))
     except np.linalg.LinAlgError as e:
         lam = np.linalg.eigvalsh(scaled_gram(G))[0]
         raise np.linalg.LinAlgError(
@@ -189,7 +189,7 @@ def rho_gram(G: np.ndarray, model: GramModel, z):
     m = model.m
     zs = np.asarray(z, dtype=complex).ravel()
     V = np.exp(_log_frame(m, np.abs(zs)) + 1j * np.angle(zs)[:, None] * np.arange(m + 1))
-    W = np.linalg.solve(_scaled_factor(G), V.T)
+    W = _inverse_factor(G) @ V.T
     phi = 0.0 if model.pert is None else np.asarray(model.pert.phi(zs), dtype=float)
     rho = _finite(np.sum(np.abs(W) ** 2, axis=0) * np.exp(m * phi), "kernel value")
     return float(rho[0]) if np.ndim(z) == 0 else rho.reshape(np.shape(z))
@@ -210,7 +210,7 @@ def rho_gram_field(model: GramModel, G: np.ndarray | None = None) -> KernelField
     if G is None:
         G = gram_matrix(model)
     m, n_lat, n_theta = model.m, 96, 128
-    L_inv = np.linalg.inv(_scaled_factor(G))
+    L_inv = _inverse_factor(G)
     A = L_inv.conj().T @ L_inv  # (L L^H)^{-1}
     edges = np.array([1.0, 0.6, 0.0, -1.0])  # t = cos(lat) at |z| = 0, 1/2, 1, inf
     t, wt = _panels(edges, np.diff(np.round(n_lat * (1.0 - edges) / 2.0)).astype(int))

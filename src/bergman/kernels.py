@@ -44,6 +44,11 @@ _CUT = 45.0  # a band holds the terms within e^-_CUT of its edge rows' largest
 _TAIL_LIMIT = 1e-16  # largest bound on the relative mass a band may leave out
 
 
+def log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, each from math.lgamma."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+
+
 def logsumexp(a, axis=None):
     """log sum exp(a) over an axis (all of a by default), bit for bit the value
     of scipy.special.logsumexp: every entry equal to the maximum is taken out

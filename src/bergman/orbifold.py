@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import logsumexp
+from .kernels import log_factorials, logsumexp
 from .models import CyclicWeights
 
 __all__ = [
@@ -86,6 +86,17 @@ def rho_closed(w: CyclicWeights, z):
     return value
 
 
+def bounded_indices(n: int, cap: int) -> np.ndarray:
+    """All j in N^n with |j| <= cap, as rows of an int array in lexicographic
+    order; comb(cap + n, n) of them."""
+    j = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n):  # append a column of every value that keeps |j| <= cap
+        room = cap + 1 - j.sum(axis=1)
+        rows = np.repeat(np.arange(len(j)), room)
+        j = np.column_stack((j[rows], np.arange(rows.size) - (np.cumsum(room) - room)[rows]))
+    return j
+
+
 def admissible_indices(w: CyclicWeights, degree_cap: int) -> list[tuple[int, ...]]:
     """Multi-indices j with |j| <= cap and sum_l j_l p_l / q_l integral,
     in graded lexicographic order.
@@ -99,13 +110,8 @@ def admissible_indices(w: CyclicWeights, degree_cap: int) -> list[tuple[int, ...
         raise ValueError(f"degree cap {degree_cap} on C^{w.n} spans {candidates} > "
                          f"{MAX_ORACLE_CANDIDATES} candidate indices")
     q = w.q
-    weights = np.array([p * (q // ql) for p, ql in w.pairs])
-    j = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(w.n):  # append a column of every value that keeps |j| <= cap
-        room = degree_cap + 1 - j.sum(axis=1)
-        rows = np.repeat(np.arange(len(j)), room)
-        j = np.column_stack((j[rows], np.arange(rows.size) - (np.cumsum(room) - room)[rows]))
-    j = j[j @ weights % q == 0]  # lexicographic order so far
+    j = bounded_indices(w.n, degree_cap)
+    j = j[j @ np.array([p * (q // ql) for p, ql in w.pairs]) % q == 0]
     j = j[np.argsort(j.sum(axis=1), kind="stable")]
     return list(map(tuple, j.tolist()))
 
@@ -140,11 +146,8 @@ def degree_cap_for(w: CyclicWeights, z, tol: float) -> int:
     """
     z = _check_point(w, z)
     lam = math.pi * float(np.sum(np.abs(z) ** 2))
-    for caps in (128, 2000):  # one pass over the caps; 128 suffice unless lam or q/tol is large
-        hit = np.flatnonzero(w.q * np.exp(_log_poisson_tails(lam, caps)[1:]) <= tol)
-        if hit.size:
-            break
-    else:
+    hit = np.flatnonzero(w.q * np.exp(_log_poisson_tails(lam, 2000)[1:]) <= tol)
+    if not hit.size:
         raise ValueError("tail bound does not reach tolerance at a sane cap")
     cap = int(hit[0]) + 1
     count = len(admissible_indices(w, cap))
@@ -178,8 +181,7 @@ def rho_oracle(w: CyclicWeights, z, degree_cap: int) -> OracleResult:
     j = np.array(idx, dtype=np.int64).reshape(-1, w.n)
     lt = np.multiply(j, log_pi_s, out=np.zeros(j.shape), where=j > 0).sum(axis=1)
     live = np.isfinite(lt)  # z_l = 0 with j_l > 0: term vanishes
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(degree_cap + 1)])
-    logs = lt[live] - np.sum(log_fact[j[live]], axis=1)
+    logs = lt[live] - np.sum(log_factorials(degree_cap)[j[live]], axis=1)
     value = w.q * math.exp(logsumexp(logs) - lam) if logs.size else 0.0
     tail = w.q * math.exp(_log_poisson_tails(lam, degree_cap)[-1])
     return OracleResult(value=float(value), tail_bound=tail,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import MAX_CHARACTERS, CyclicWeights, make_cyclic_weights
-from .orbifold import min_on_ray, rho_closed
+from .orbifold import bounded_indices, min_on_ray, rho_closed
 
 __all__ = [
     "ResonanceCertificate",
@@ -27,7 +27,7 @@ __all__ = [
 
 SIN_MIN = 1e-9
 MARGIN_MIN = 1e-9  # cosine margin a searched direction must clear
-MAX_SEARCH_DIRECTIONS = 1 << 14  # (G+1)^n bound on the direction search's grid
+MAX_SEARCH_DIRECTIONS = 1 << 14  # integer ray directions the search may try
 
 
 @dataclass(frozen=True)
@@ -127,21 +127,21 @@ def _combine(w: CyclicWeights, order: list[int], sub: ResonanceCertificate,
 
 
 def _direction_search(w: CyclicWeights) -> ResonanceCertificate:
-    """Search the integer ray directions r in {0..G}^n with gcd 1 for G = 4, 8,
-    16, ... while (G+1)^n <= MAX_SEARCH_DIRECTIONS, starting at G = 2 or 1
-    where the 4-grid alone is larger.  The cosine sums of a block of
-    directions are one matrix product, of at most MAX_CHARACTERS entries; a
-    direction whose near-maximal set over k = 1..q-1 (within MARGIN_MIN) is
-    {j, q-j} goes to the exhaustive verifier.  Past the cap it raises."""
+    """Search the integer ray directions r >= 0 with gcd 1 in order of their
+    sum |r| = 1, 2, 3, ..., one sum at a time while the comb(|r| + n - 1, n - 1)
+    directions of every sum so far stay within MAX_SEARCH_DIRECTIONS, then
+    raise.  The cosine sums of a block of directions are one matrix product,
+    of at most MAX_CHARACTERS entries; a direction whose near-maximal set over
+    k = 1..q-1 (within MARGIN_MIN) is {j, q-j} goes to the exhaustive
+    verifier."""
     q, n = w.q, w.n
     cos_t = w.characters.real[1:].copy()  # rows k = 1..q-1
     block = max(1, min(64, MAX_CHARACTERS // q))  # most systems certify in the first block
-    G, low = 4, 0
-    while G > 1 and (G + 1) ** n > MAX_SEARCH_DIRECTIONS:  # n >= 7
-        G //= 2
-    while (G + 1) ** n <= MAX_SEARCH_DIRECTIONS:
-        R = np.indices((G + 1,) * n).reshape(n, -1)
-        R = R[:, (R.max(axis=0) > low) & (np.gcd.reduce(R, axis=0) == 1)]  # new at this G
+    total, tried = 1, 0
+    while (tried := tried + math.comb(total + n - 1, n - 1)) <= MAX_SEARCH_DIRECTIONS:
+        J = bounded_indices(n - 1, total)
+        R = np.column_stack((J, total - J.sum(axis=1)))  # every r with |r| = total
+        R = R[np.gcd.reduce(R, axis=1) == 1].T
         for i in range(0, R.shape[1], block):
             S = cos_t @ R[:, i:i + block]
             cols = np.arange(S.shape[1])
@@ -152,9 +152,9 @@ def _direction_search(w: CyclicWeights) -> ResonanceCertificate:
                 cert = _certify(w, R[:, i + c].astype(float), int(min(k[c] + 1, q - k[c] - 1)))
                 if cert is not None:
                     return cert
-        G, low = 2 * G, G
-    raise RuntimeError(f"no certificate for weights {w.pairs} on integer ray directions "
-                       f"within the {MAX_SEARCH_DIRECTIONS}-point grid")
+        total += 1
+    raise RuntimeError(f"no certificate for weights {w.pairs} among the first "
+                       f"{MAX_SEARCH_DIRECTIONS} integer ray directions")
 
 
 def construct_certificate(w: CyclicWeights) -> ResonanceCertificate:
@@ -167,7 +167,7 @@ def construct_certificate(w: CyclicWeights) -> ResonanceCertificate:
     coordinate.  The literal combination rule of the source argument does not
     always yield a verifying certificate, so the block index and the new ray
     weight are chosen by explicit feasibility.  Where that fails, a search
-    over integer ray directions takes over; it stops after about
+    over integer ray directions takes over; it stops after at most
     MAX_SEARCH_DIRECTIONS directions with RuntimeError ("no certificate",
     exit code 1 in the CLI).  Every returned certificate has passed the
     exhaustive verifier.

@@ -190,10 +190,27 @@ def test_certificate_battery(battery, monkeypatch):
     assert len(searched) >= 150
 
 
-def test_seven_coordinates_search_a_coarser_grid():
-    # 5^7 grid points exceed the cap, so the search starts at G = 2; the
-    # recursive construction has no certificate for this system
-    w = make_cyclic_weights([(1, 2)] * 3 + [(1, 3)] + [(1, 2)] * 3)
+@pytest.mark.parametrize("pairs", [
+    [(1, 2)] * 3 + [(1, 3)] + [(1, 2)] * 3,
+    [(1, 2)] * 14 + [(1, 3)],  # 2^15 points in {0, 1}^15 alone exceed the cap
+], ids=["n7", "n15"])
+def test_many_coordinates_search_small_sums_first(pairs):
+    # the head block has order 2, so the recursive construction has no
+    # certificate; e_4 + e_7 and e_14 + e_15 certify at |r| = 2
+    w = make_cyclic_weights(pairs)
     assert resonance._construct_recursive(w) is None
     cert = construct_certificate(w)
-    assert verify_certificate(w, cert)[0] and max(cert.r) <= 2
+    assert verify_certificate(w, cert)[0] and sum(cert.r) == 2 and cert.j == 2
+
+
+@pytest.mark.parametrize("cap, found", [(4, False), (5, True)])
+def test_search_cap_counts_directions(cap, found, monkeypatch):
+    # on C^2 the sums |r| = 1 and 2 hold 2 + 3 directions, and only (1, 1)
+    # certifies 1/2,1/3; a cap of 4 stops the search after |r| = 1
+    monkeypatch.setattr(resonance, "MAX_SEARCH_DIRECTIONS", cap)
+    w = make_cyclic_weights([(1, 2), (1, 3)])
+    if found:
+        assert resonance._direction_search(w).r == (1.0, 1.0)
+    else:
+        with pytest.raises(RuntimeError, match="no certificate"):
+            resonance._direction_search(w)
