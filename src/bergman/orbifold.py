@@ -86,17 +86,6 @@ def rho_closed(w: CyclicWeights, z):
     return value
 
 
-def bounded_indices(n: int, cap: int) -> np.ndarray:
-    """All j in N^n with |j| <= cap, as rows of an int array in lexicographic
-    order; comb(cap + n, n) of them."""
-    j = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(n):  # append a column of every value that keeps |j| <= cap
-        room = cap + 1 - j.sum(axis=1)
-        rows = np.repeat(np.arange(len(j)), room)
-        j = np.column_stack((j[rows], np.arange(rows.size) - (np.cumsum(room) - room)[rows]))
-    return j
-
-
 def admissible_indices(w: CyclicWeights, degree_cap: int) -> list[tuple[int, ...]]:
     """Multi-indices j with |j| <= cap and sum_l j_l p_l / q_l integral,
     in graded lexicographic order.
@@ -110,8 +99,13 @@ def admissible_indices(w: CyclicWeights, degree_cap: int) -> list[tuple[int, ...
         raise ValueError(f"degree cap {degree_cap} on C^{w.n} spans {candidates} > "
                          f"{MAX_ORACLE_CANDIDATES} candidate indices")
     q = w.q
-    j = bounded_indices(w.n, degree_cap)
-    j = j[j @ np.array([p * (q // ql) for p, ql in w.pairs]) % q == 0]
+    weights = np.array([p * (q // ql) for p, ql in w.pairs])
+    j = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(w.n):  # append a column of every value that keeps |j| <= cap
+        room = degree_cap + 1 - j.sum(axis=1)
+        rows = np.repeat(np.arange(len(j)), room)
+        j = np.column_stack((j[rows], np.arange(rows.size) - (np.cumsum(room) - room)[rows]))
+    j = j[j @ weights % q == 0]  # lexicographic order so far
     j = j[np.argsort(j.sum(axis=1), kind="stable")]
     return list(map(tuple, j.tolist()))
 

@@ -9,13 +9,14 @@ oscillatory term hits cos = -1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .models import MAX_CHARACTERS, CyclicWeights, make_cyclic_weights
-from .orbifold import bounded_indices, min_on_ray, rho_closed
+from .orbifold import min_on_ray, rho_closed
 
 __all__ = [
     "ResonanceCertificate",
@@ -127,32 +128,34 @@ def _combine(w: CyclicWeights, order: list[int], sub: ResonanceCertificate,
 
 
 def _direction_search(w: CyclicWeights) -> ResonanceCertificate:
-    """Search the integer ray directions r >= 0 with gcd 1 in order of their
-    sum |r| = 1, 2, 3, ..., one sum at a time while the comb(|r| + n - 1, n - 1)
-    directions of every sum so far stay within MAX_SEARCH_DIRECTIONS, then
-    raise.  The cosine sums of a block of directions are one matrix product,
-    of at most MAX_CHARACTERS entries; a direction whose near-maximal set over
-    k = 1..q-1 (within MARGIN_MIN) is {j, q-j} goes to the exhaustive
-    verifier."""
+    """Search the first MAX_SEARCH_DIRECTIONS integer ray directions r >= 0,
+    in order of their sum |r| = 1, 2, 3, ..., for a certificate, then raise.
+    A direction of sum s is a multiset of s coordinates; one with a common
+    factor g certifies only as r/g, which comes first.  The cosine sums of a
+    block of directions are one matrix product, its factors and result of at
+    most MAX_CHARACTERS entries; a direction whose near-maximal set over
+    k = 1..q-1 (within MARGIN_MIN) is {j, q-j}, with a sine sum of at least
+    SIN_MIN, goes to the exhaustive verifier."""
     q, n = w.q, w.n
     cos_t = w.characters.real[1:].copy()  # rows k = 1..q-1
-    block = max(1, min(64, MAX_CHARACTERS // q))  # most systems certify in the first block
-    total, tried = 1, 0
-    while (tried := tried + math.comb(total + n - 1, n - 1)) <= MAX_SEARCH_DIRECTIONS:
-        J = bounded_indices(n - 1, total)
-        R = np.column_stack((J, total - J.sum(axis=1)))  # every r with |r| = total
-        R = R[np.gcd.reduce(R, axis=1) == 1].T
-        for i in range(0, R.shape[1], block):
-            S = cos_t @ R[:, i:i + block]
-            cols = np.arange(S.shape[1])
-            k = S.argmax(axis=0)  # row k is character k+1
-            near = S >= S[k, cols] - MARGIN_MIN
-            pair = (near.sum(axis=0) == 2) & near[q - k - 2, cols]  # {k+1, q-k-1} alone
-            for c in np.flatnonzero(pair & (2 * k + 2 != q)).tolist():
-                cert = _certify(w, R[:, i + c].astype(float), int(min(k[c] + 1, q - k[c] - 1)))
-                if cert is not None:
-                    return cert
-        total += 1
+    block = max(1, min(64, MAX_CHARACTERS // max(q, n)))  # most systems certify in the first block
+    directions = itertools.islice(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(n), s) for s in itertools.count(1)),
+        MAX_SEARCH_DIRECTIONS)
+    while chunk := list(itertools.islice(directions, block)):
+        R = np.zeros((len(chunk), n), dtype=np.int64)
+        np.add.at(R, (np.repeat(np.arange(len(chunk)), [len(c) for c in chunk]),
+                      np.concatenate(chunk)), 1)
+        S = R @ cos_t.T  # one row of cosine sums per direction
+        rows = np.arange(len(S))
+        k = S.argmax(axis=1)  # column k is character k+1
+        near = S >= S[rows, k, None] - MARGIN_MIN
+        pair = (np.count_nonzero(near, axis=1) == 2) & near[rows, q - k - 2]  # {k+1, q-k-1} alone
+        pair &= (2 * k + 2 != q) & (np.abs(np.sum(w.characters.imag[k + 1] * R, axis=1)) >= SIN_MIN)
+        for c in np.flatnonzero(pair).tolist():
+            cert = _certify(w, R[c].astype(float), int(min(k[c] + 1, q - k[c] - 1)))
+            if cert is not None:
+                return cert
     raise RuntimeError(f"no certificate for weights {w.pairs} among the first "
                        f"{MAX_SEARCH_DIRECTIONS} integer ray directions")
 

@@ -193,20 +193,27 @@ def test_certificate_battery(battery, monkeypatch):
 @pytest.mark.parametrize("pairs", [
     [(1, 2)] * 3 + [(1, 3)] + [(1, 2)] * 3,
     [(1, 2)] * 14 + [(1, 3)],  # 2^15 points in {0, 1}^15 alone exceed the cap
-], ids=["n7", "n15"])
-def test_many_coordinates_search_small_sums_first(pairs):
+    [(1, 2)] * 199 + [(1, 3)],  # so do the comb(201, 2) directions of sum 2
+], ids=["n7", "n15", "n200"])
+def test_many_coordinates_search_small_sums_first(pairs, monkeypatch):
     # the head block has order 2, so the recursive construction has no
-    # certificate; e_4 + e_7 and e_14 + e_15 certify at |r| = 2
+    # certificate; e_1 + e_l certifies, with l the (1, 3) coordinate.  The
+    # e_l of a (1, 2) coordinate has its cosine maximum at {2, 4} alone but
+    # no sine sum, so the verifier sees only the certificate
     w = make_cyclic_weights(pairs)
     assert resonance._construct_recursive(w) is None
+    calls = []
+    certify = resonance._certify
+    monkeypatch.setattr(resonance, "_certify", lambda *a: calls.append(a) or certify(*a))
     cert = construct_certificate(w)
-    assert verify_certificate(w, cert)[0] and sum(cert.r) == 2 and cert.j == 2
+    assert verify_certificate(w, cert)[0] and cert.j == 2 and len(calls) == 1
+    assert np.flatnonzero(cert.r).tolist() == [0, pairs.index((1, 3))] and sum(cert.r) == 2
 
 
-@pytest.mark.parametrize("cap, found", [(4, False), (5, True)])
+@pytest.mark.parametrize("cap, found", [(3, False), (4, True)])
 def test_search_cap_counts_directions(cap, found, monkeypatch):
-    # on C^2 the sums |r| = 1 and 2 hold 2 + 3 directions, and only (1, 1)
-    # certifies 1/2,1/3; a cap of 4 stops the search after |r| = 1
+    # on C^2 the search tries e_1, e_2, 2 e_1, then e_1 + e_2, which
+    # certifies 1/2,1/3; a cap of 3 stops before it
     monkeypatch.setattr(resonance, "MAX_SEARCH_DIRECTIONS", cap)
     w = make_cyclic_weights([(1, 2), (1, 3)])
     if found:
