@@ -36,7 +36,8 @@ class GramModel:
 
     The weight is the FS one, (1+|z|^2)^{-m} e^{m phi} d mu, with the measure
     d mu the perturbed area form; quadrature for the correction runs on an
-    n_r x n_theta polar tensor grid over the perturbation's support."""
+    n_r x n_theta polar tensor grid over the perturbation's support, its
+    angles and fields taken on the first octant: n_theta is a multiple of 8."""
 
     m: int
     pert: PerturbedPotential | None = None
@@ -46,8 +47,8 @@ class GramModel:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.n_r < 8 or self.n_theta < 8:
-            raise ValueError("quadrature grid too small")
+        if self.n_r < 8 or self.n_theta < 8 or self.n_theta % 8:
+            raise ValueError("quadrature grid too small, or n_theta not a multiple of 8")
 
     def refined(self) -> "GramModel":
         return GramModel(self.m, self.pert, self.n_r * 2, self.n_theta * 2)
@@ -59,16 +60,18 @@ def fs_log_norms(m: int) -> np.ndarray:
     return log_fact[:m + 1] + log_fact[m::-1] - log_fact[m + 1]
 
 
-def _phi_density(pert: PerturbedPotential | None, x, y, rho):
+def _phi_density(pert: PerturbedPotential | None, x, y, rho, cols=None):
     """phi and the density D of the area form D dx dy at x + iy with
     rho = |x + iy|, broadcast: the FS base minus Laplacian(phi)/(4 pi).
+    With cols = (o, sign), column j reflects column o[j], phi and Laplacian(phi) times sign[j].
 
     The curvature-form convention ties the metric to the potential as
     omega = omega_FS - (i/2 pi) d dbar phi."""
-    base = 1.0 / (math.pi * (1.0 + x * x + y * y) ** 2)
-    if pert is None:
-        return np.zeros_like(base), base
-    phi, lap = pert.fields(x, y, rho)
+    base = 1.0 / (math.pi * (1.0 + (x * x + y * y)) ** 2)
+    phi, lap = (np.zeros_like(base),) * 2 if pert is None else pert.fields(x, y, rho)
+    if cols is not None:
+        o, sign = cols
+        base, phi, lap = base[:, o], phi[:, o] * sign, lap[:, o] * sign
     return phi, base - lap / (4.0 * math.pi)
 
 
@@ -113,11 +116,29 @@ def _radial_rule(n_r: int):
     return rho, w * rho
 
 
+def _octant(n: int):
+    """cos, sin of 2 pi j/n for j <= n/8; for all j < n: octant column, swap, signs."""
+    j = np.arange(n)
+    sy, j = np.where(j > n // 2, -1.0, 1.0), np.minimum(j, n - j)
+    sx, j = np.where(j > n // 4, -1.0, 1.0), np.minimum(j, n // 2 - j)
+    theta = 2.0 * math.pi * np.arange(n // 8 + 1) / n
+    return np.cos(theta), np.sin(theta), np.minimum(j, n // 4 - j), j > n // 8, sx, sy
+
+
 def _polar(rho: np.ndarray, n_theta: int):
-    """(x, y, rho) on the grid rho x (n_theta equispaced angles), rho as a
-    column so that the cutoff is taken once per radius."""
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    return rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta), rho[:, None]
+    """(x, y, rho) on the grid rho x (n_theta equispaced angles, n_theta a multiple
+    of 8), rho as a column so that the cutoff is taken once per radius; cos and
+    sin come from the first octant, reflected, so the grid is exactly symmetric."""
+    c, s, o, swap, sx, sy = _octant(n_theta)
+    c, s = sx * np.where(swap, s[o], c[o]), sy * np.where(swap, c[o], s[o])
+    return rho[:, None] * c, rho[:, None] * s, rho[:, None]
+
+
+def _polar_fields(pert: PerturbedPotential | None, rho: np.ndarray, n_theta: int):
+    """(phi, D) on the grid of _polar from its n/8 + 1 octant columns: phi and
+    Laplacian(phi) are odd in x and in y and even under x <-> y, the base even."""
+    c, s, o, _, sx, sy = _octant(n_theta)  # the octant's columns are _polar's first n/8 + 1
+    return _phi_density(pert, rho[:, None] * c, rho[:, None] * s, rho[:, None], (o, sx * sy))
 
 
 def _correction_matrix(model: GramModel) -> np.ndarray:
@@ -126,7 +147,7 @@ def _correction_matrix(model: GramModel) -> np.ndarray:
     m = model.m
     rho, wr = _radial_rule(model.n_r)
     nt = model.n_theta
-    phi, D = _phi_density(model.pert, *_polar(rho, nt))
+    phi, D = _polar_fields(model.pert, rho, nt)
     s = (rho * rho)[:, None]
     W = (1.0 + s) ** (-m) * (np.exp(m * phi) * D - 1.0 / (math.pi * (1.0 + s) ** 2))
     # angular transform: A[r, d] = int W e^{-i d theta} d theta
@@ -219,7 +240,7 @@ def rho_gram_field(model: GramModel, G: np.ndarray | None = None) -> KernelField
     c = np.stack([(a[:, :m + 1 - d] * a[:, d:]) @ np.diagonal(A, d) for d in range(m + 1)], axis=1)
     c[:, 0] = 0.5 * c[:, 0].real  # v* A v = 2 Re sum_{d >= 0} c_d e^{i d theta}, c_0 halved
     c = np.pad(c, ((0, 0), (0, -(m + 1) % n_theta))).reshape(n_lat, -1, n_theta).sum(axis=1)
-    phi, D = _phi_density(model.pert, *_polar(r, n_theta))
+    phi, D = _polar_fields(model.pert, r, n_theta)
     vals = 2.0 * n_theta * np.fft.ifft(c, axis=1).real * np.exp(m * phi)
     vals = _finite(vals, "kernel field").ravel()
     # dx dy = r dr d theta = dt d theta / (1+t)^2

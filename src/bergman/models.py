@@ -365,7 +365,7 @@ class PerturbedPotential:
         d1_rho = d1 / np.maximum(rho, 0.5)  # eta' vanishes on [0, 1/2]
         lap = amp * (sx * sy * (-8.0 * k * k * eta + d2 + d1_rho)
                      + 4.0 * k * d1_rho * (cx * sy * x + sx * cy * y))
-        return amp * sx * sy * eta, lap
+        return amp * (sx * sy) * eta, lap
 
     def phi(self, z):
         """Perturbation value at complex chart coordinate z."""

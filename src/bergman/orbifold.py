@@ -8,6 +8,7 @@ exists purely to check the first.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +32,13 @@ _BLOCK_TERMS = 1 << 16  # points x q terms per batched block, bounds the tempora
 
 
 def _check_point(w: CyclicWeights, z, batch: bool = False) -> np.ndarray:
-    """z as a finite complex array of shape (n,), or also (N, n) when batch
-    is set."""
+    """z as a complex array of shape (n,), or also (N, n) when batch is set;
+    NaN, inf and |z_l| > sqrt(max float / 4n), where pi |z|^2 may overflow, are refused."""
     z = np.asarray(z, dtype=complex)
     if z.shape[-1:] != (w.n,) or z.ndim not in ((1, 2) if batch else (1,)):
         raise ValueError(f"point must have length n={w.n}, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("point must be finite")
+    if not np.abs(z).max(initial=0.0) <= math.sqrt(sys.float_info.max / (4.0 * w.n)):
+        raise ValueError("point must be finite, as must pi |z|^2")
     return z
 
 

@@ -36,6 +36,7 @@ _BARY = (-1.0) ** np.arange(33) * np.r_[0.5, np.ones(31), 0.5]
 _SERIES = (leg.legvander(_X, 31) * _W[:, None]).T * (np.arange(32) + 0.5)[:, None]
 _INT = leg.legint(_SERIES, lbnd=-1)  # node values -> series of int_{-1}^x
 _SPECTRAL, _INT_AT_CHEB = leg.legvander(_X, 32) @ _INT, leg.legvander(_CHEB, 32) @ _INT
+_AT_CHEB = leg.legvander(_CHEB, 31) @ _SERIES  # node values -> values at the interpolation points
 
 
 def _nodes(edges):
@@ -69,6 +70,16 @@ def _logs(r, q, slopes, a_L):
                          -2.0 * a_L / slopes[1] * np.log(q)])
 
 
+def _median_radius(edges, v, r0):
+    """Newton on a(r) = a(L)/2 from r0, 8 steps or until an iterate repeats."""
+    for _ in range(8):
+        psi0, a0, _, _ = _interp(edges, v, r0)
+        r0, last = r0 - (a0 - 0.5 * v[1, -1, 0]) / psi0, r0
+        if r0[0] == last[0]:
+            break
+    return r0
+
+
 def _integrate(profile, edges, psi):
     """psi, a and u, phi less their logarithms at the interpolation points,
     the area-median radius and the rule, on edges with psi at the nodes."""
@@ -78,11 +89,8 @@ def _integrate(profile, edges, psi):
     a_L = v_a[-1, 0]
     u, v_u = _cumulative(1.0 / psi - 1.0 / (s_l * r) - 1.0 / (s_r * (L - r)), half)
     phi, v_phi = _cumulative(2.0 * a / psi - 2.0 * a_L / (s_r * (L - r)), half)
-    v = np.array([(leg.legvander(_CHEB, 31) @ _SERIES @ psi).T, v_a, v_u, v_phi])
-    r0 = np.interp([0.5 * a_L], a.T.ravel(), r.T.ravel())
-    for _ in range(8):  # gauge: Newton on a(r0) = a(L)/2
-        psi0, a0, _, _ = _interp(edges, v, r0)
-        r0 = r0 - (a0 - 0.5 * a_L) / psi0
+    v = np.array([(_AT_CHEB @ psi).T, v_a, v_u, v_phi])
+    r0 = _median_radius(edges, v, np.interp([0.5 * a_L], a.T.ravel(), r.T.ravel()))  # the gauge
     gauge = _interp(edges, v, r0)[2:] + _logs(r0, L - r0, (s_l, s_r), a_L)
     v[2:] -= gauge[:, :, None]
     u, phi = np.array([u, phi]) + _logs(r, L - r, (s_l, s_r), a_L) - gauge[:, :, None]

@@ -99,6 +99,7 @@ class TestExitCodes:
          "t_max must be positive and finite"),
         (["orbifold-ray", "--weights", "1/3", "--direction", "1", "--tmax", "inf"],
          "t_max must be positive and finite"),
+        (["orbifold-eval", "--weights", "1/3", "--z", "1e200"], "point must be finite"),
     ])
     def test_non_finite_orbifold_input_is_2(self, argv, message, capsys):
         assert run(argv) == 2

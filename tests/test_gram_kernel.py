@@ -167,6 +167,25 @@ class TestPotential:
         with pytest.raises(RuntimeError, match="degree bookkeeping failed"):
             build_potential(round_sphere())
 
+    @pytest.mark.parametrize("k", [None, 10, 10_000])
+    def test_gauge_equals_eight_newton_steps(self, monkeypatch, k):
+        # the gauge's Newton loop stops when an iterate repeats; the table
+        # equals, bit for bit, the one from a fixed loop of 8 steps
+        prof = round_sphere() if k is None else rescale_to_area(make_cone_family(k), 1)
+        got = build_potential(prof)
+
+        def eight_steps(edges, v, r0):
+            for _ in range(8):
+                psi0, a0, _, _ = potential._interp(edges, v, r0)
+                r0 = r0 - (a0 - 0.5 * v[1, -1, 0]) / psi0
+            return r0
+
+        monkeypatch.setattr(potential, "_median_radius", eight_steps)
+        want = build_potential(prof)
+        assert got.r_equator == want.r_equator
+        for a, b in zip(got.nodes + got.check_nodes, want.nodes + want.check_nodes):
+            assert a.tobytes() == b.tobytes()
+
     def test_nonpositive_psi_refused(self):
         # area 1, seams at the edges of a bump of height 0.5 that takes psi
         # below zero on |r/c - 0.3| < 0.01; built directly, so only the table checks it
@@ -363,15 +382,15 @@ class TestGram:
 
     def test_correction_matches_double_loop(self):
         # reference: the per-(i, j) loop over the same polar grid and the same
-        # (phi, D); the one matrix product only changes the order of the
-        # radial sums
+        # (phi, D) from the grid helper; the one matrix product only changes
+        # the order of the radial sums
         m, pert = 12, PerturbedPotential(6)
         model = GramModel(m, pert, n_r=40, n_theta=64)
         rho, wr = gram._radial_rule(model.n_r)
         nt = model.n_theta
         s = rho * rho
         base = 1.0 / (math.pi * (1.0 + s) ** 2)
-        phi, D = gram._phi_density(pert, *gram._polar(rho, nt))
+        phi, D = gram._polar_fields(pert, rho, nt)
         W = (1.0 + s[:, None]) ** (-m) * (np.exp(m * phi) * D - base[:, None])
         A = np.fft.fft(W, axis=1) * (2.0 * math.pi / nt)
         C = gram._correction_matrix(model)
@@ -386,15 +405,14 @@ class TestGram:
     def test_polar_fields_match_pointwise(self, k):
         # the (phi, D) of the correction and field grids, the cutoff taken once
         # per radius, against pert.phi and perturbed_area_density at every
-        # node; their cutoff is taken at |x + iy|, which differs from the
-        # radius in the last bit
+        # node of the symmetric grid; their cutoff is taken at |x + iy|, which
+        # differs from the radius in the last bit
         pert = PerturbedPotential(k)
         xg, _ = np.polynomial.legendre.leggauss(160)
         t = np.linspace(-0.999, 0.999, 96)
         for rho, nt in ((0.5 * (xg + 1.0), 512), (np.sqrt((1.0 - t) / (1.0 + t)), 128)):
-            theta = 2.0 * math.pi * np.arange(nt) / nt
-            X, Y = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
-            phi, D = gram._phi_density(pert, *gram._polar(rho, nt))
+            X, Y, _ = gram._polar(rho, nt)
+            phi, D = gram._polar_fields(pert, rho, nt)
             assert np.max(np.abs(phi - pert.phi(X + 1j * Y))) <= 1e-14 * k ** -4.0
             assert np.max(np.abs(D / perturbed_area_density(pert, X, Y) - 1.0)) <= 1e-15
 
@@ -407,8 +425,31 @@ class TestGram:
             G = gram_matrix(model)
             assert rho_gram(G, model, 0.0) > 0.0
             assert math.isfinite(perturbed_scalar_curvature(pert, 0.0, 0.0))
-            phi, D = gram._phi_density(pert, *gram._polar(np.array([0.0, 0.5, 1.0]), 8))
+            phi, D = gram._polar_fields(pert, np.array([0.0, 0.5, 1.0]), 8)
             assert np.all(phi[0] == 0.0) and np.all(np.isfinite(D))
+
+    @pytest.mark.parametrize("n_theta", [8, 64, 128, 512, 1024])
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_octant_fields_equal_the_whole_grid(self, k, n_theta):
+        # phi and D from the first octant's columns, reflected, equal
+        # _phi_density on every node of the symmetric grid, bit for bit; radii
+        # of both rules, rho = 0 and rho > 1 included
+        pert = PerturbedPotential(k)
+        t = np.linspace(-0.999, 0.999, 96)
+        rho = np.r_[0.0, gram._radial_rule(40)[0], 1.0, np.sqrt((1.0 - t) / (1.0 + t))]
+        x, y, _ = gram._polar(rho, n_theta)
+        theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+        scale = np.maximum(rho, 1.0)[:, None]
+        assert np.max(np.abs(x - rho[:, None] * np.cos(theta)) / scale) <= 1e-15
+        assert np.max(np.abs(y - rho[:, None] * np.sin(theta)) / scale) <= 1e-15
+        for got, want in zip(gram._polar_fields(pert, rho, n_theta),
+                             gram._phi_density(pert, x, y, rho[:, None])):
+            assert got.tobytes() == want.tobytes()
+
+    def test_n_theta_multiple_of_8(self):
+        with pytest.raises(ValueError, match="multiple of 8"):
+            GramModel(8, PerturbedPotential(6), n_theta=60)
+        assert GramModel(8, PerturbedPotential(6), n_theta=64).refined().n_theta == 128
 
     def test_offdiagonal_magnitude_bound(self):
         # couplings come from the k^-4 oscillation over the unit disc

@@ -84,6 +84,20 @@ class TestClosedForm:
             with pytest.raises(ValueError):
                 rho_closed_detailed(w, bad)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_point_refused(self):
+        # finite coordinates whose pi |z|^2 overflows: refused as bad input,
+        # as the oracle's degree cap refuses them, with no overflow warning;
+        # at 1e154, |z|^2 is finite and pi |z|^2 is not
+        w = make_cyclic_weights([(1, 3), (1, 5)])
+        for bad in ([1e200, 0.0], [1e154, 0.0], [[0.5, 0.7], [0.0, 1e200j]]):
+            with pytest.raises(ValueError, match="point must be finite"):
+                rho_closed_detailed(w, bad)
+        with pytest.raises(ValueError, match="point must be finite"):
+            rho_closed(w, [1e200, 0.0])
+        # large and finite: only the 5 elements that fix the first axis remain
+        assert rho_closed(w, [1e150, 0.0]) == pytest.approx(5.0)
+
 
 class TestAdmissibleIndices:
     def test_z3_low_degrees(self):
