@@ -141,7 +141,7 @@ def _cmd_resonance(p):
     cert = construct_certificate(w)
     rows = ["j,margin,sin_sum,r",
             f"{cert.j},{cert.margin!r},{cert.sin_sum!r},"
-            + ";".join(repr(float(x)) for x in cert.r)]
+            + ";".join(map(repr, cert.r))]
     return [], rows, (f"certificate: j={cert.j} margin={cert.margin:.6e} "
                       f"sin_sum={cert.sin_sum:.6e}")
 

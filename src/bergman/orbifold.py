@@ -1,8 +1,9 @@
 """Bergman kernel of the flat model C^n/Z_q.
 
 Two independent routes: the q-term closed-form character sum, and a truncated
-sum over invariant monomials with a rigorous Gaussian tail bound.  The second
-exists purely to check the first.
+sum over invariant monomials with a rigorous Poisson tail bound
+q P(N > cap), N ~ Poisson(pi |z|^2).  The second exists purely to check the
+first.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ def _log_poisson_tails(lam: float, caps: int) -> np.ndarray:
 
 
 def degree_cap_for(w: CyclicWeights, z, tol: float) -> int:
-    """Smallest cap in 1..2000 whose Gaussian tail bound q gammainc(cap+1,
-    pi |z|^2) is at most tol.
+    """Smallest cap in 1..2000 whose Poisson tail bound q P(N > cap),
+    N ~ Poisson(pi |z|^2), is at most tol.
 
     Raises if there is none, or if the admissible index count would exceed
     MAX_ORACLE_INDICES.

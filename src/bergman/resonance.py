@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import MAX_CHARACTERS, CyclicWeights, make_cyclic_weights
+from .models import MAX_CHARACTERS, CyclicWeights
 from .orbifold import min_on_ray, rho_closed
 
 __all__ = [
@@ -78,53 +78,9 @@ def verify_certificate(w: CyclicWeights, cert: ResonanceCertificate):
 def _certify(w: CyclicWeights, r: np.ndarray, j: int) -> ResonanceCertificate | None:
     """The certificate (r, j) with its margin and sine sum, or None if it
     fails the exhaustive verifier."""
-    cert = ResonanceCertificate(tuple(r), j, 0.0, _sin_sum(w, r, j))
+    cert = ResonanceCertificate(tuple(r.tolist()), j, 0.0, _sin_sum(w, r, j))
     ok, margin, _ = verify_certificate(w, cert)
     return ResonanceCertificate(cert.r, j, margin, cert.sin_sum) if ok else None
-
-
-def _base_case(w: CyclicWeights) -> ResonanceCertificate | None:
-    """Some q_l equals q: put all weight on that coordinate and invert p_l."""
-    j, l = min((pow(p, -1, w.q), l) for l, (p, ql) in enumerate(w.pairs) if ql == w.q)
-    r = np.zeros(w.n)
-    r[l] = 1.0
-    return _certify(w, r, j)
-
-
-def _combine(w: CyclicWeights, order: list[int], sub: ResonanceCertificate,
-             q_prime: int) -> ResonanceCertificate | None:
-    """Extend a certificate for the first n-1 (reordered) coordinates by the
-    last one.  Blocks b are tried once each, in decreasing order of the last
-    coordinate's cosine at j = b q' + j', with the new ray weight in the middle
-    of its feasibility interval (lower end + 1 if unbounded); returns None if
-    none of them certifies."""
-    q = w.q
-    r_head = np.zeros(w.n)
-    r_head[order[:-1]] = sub.r
-    cos_all = w.characters.real.copy()
-    S_head = cos_all @ r_head  # last coordinate has weight 0 here
-    cos_last = cos_all[:, order[-1]]
-
-    candidates = np.arange(sub.j, q, q_prime)  # j = b q' + j' for every block b
-    for j in candidates[np.argsort(-cos_last[candidates], kind="stable")].tolist():
-        k = _rivals(q, j)
-        dc = cos_last[j] - cos_last[k]
-        dh = S_head[j] - S_head[k]
-        flat = np.abs(dc) < 1e-12
-        if np.any(flat & (dh <= 1e-12)):
-            continue
-        # S(j) - S(k) = dh + r_n dc > 0 bounds r_n below where dc > 0, above where dc < 0
-        up, down = ~flat & (dc > 0), ~flat & (dc < 0)
-        lower = np.max(-dh[up] / dc[up], initial=0.0)
-        upper = np.min(-dh[down] / dc[down], initial=math.inf)
-        if lower >= upper:
-            continue
-        r = r_head.copy()
-        r[order[-1]] = lower + 1.0 if math.isinf(upper) else 0.5 * (lower + upper)
-        cert = _certify(w, r, j)
-        if cert is not None:
-            return cert
-    return None
 
 
 def _direction_search(w: CyclicWeights) -> ResonanceCertificate:
@@ -138,7 +94,7 @@ def _direction_search(w: CyclicWeights) -> ResonanceCertificate:
     SIN_MIN, goes to the exhaustive verifier."""
     q, n = w.q, w.n
     cos_t = w.characters.real[1:].copy()  # rows k = 1..q-1
-    block = max(1, min(64, MAX_CHARACTERS // max(q, n)))  # most systems certify in the first block
+    block = max(1, min(16, MAX_CHARACTERS // max(q, n)))  # most systems certify in the first block
     directions = itertools.islice(itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(n), s) for s in itertools.count(1)),
         MAX_SEARCH_DIRECTIONS)
@@ -161,62 +117,18 @@ def _direction_search(w: CyclicWeights) -> ResonanceCertificate:
 
 
 def construct_certificate(w: CyclicWeights) -> ResonanceCertificate:
-    """Build a resonance certificate for q >= 3.
-
-    Follows the inductive structure of the existence proof: a single
-    coordinate of full order is the base case; otherwise the coordinate of
-    maximal 2-adic order is kept in the head block, the head is solved
-    recursively, and the remaining order q/q' is absorbed by the last
-    coordinate.  The literal combination rule of the source argument does not
-    always yield a verifying certificate, so the block index and the new ray
-    weight are chosen by explicit feasibility.  Where that fails, a search
-    over integer ray directions takes over; it stops after at most
+    """Build a resonance certificate for q >= 3 by a search over integer ray
+    directions in order of increasing sum.  The search stops after at most
     MAX_SEARCH_DIRECTIONS directions with RuntimeError ("no certificate",
     exit code 1 in the CLI).  Every returned certificate has passed the
     exhaustive verifier.
     """
     if w.q <= 2:
         raise ValueError("resonance requires q >= 3")
-    cert = _construct_recursive(w) or _direction_search(w)
-    ok, margin, _ = verify_certificate(w, cert)
-    if not ok:
+    cert = _direction_search(w)
+    if not verify_certificate(w, cert)[0]:
         raise AssertionError("constructed certificate failed exhaustive verification")
     return cert
-
-
-def _construct_recursive(w: CyclicWeights) -> ResonanceCertificate | None:
-    if any(ql == w.q for _, ql in w.pairs):  # always so in one dimension
-        return _base_case(w)
-
-    # order coordinates so that a maximal 2-adic order comes first
-    def v2(x):
-        v = 0
-        while x % 2 == 0:
-            x //= 2
-            v += 1
-        return v
-
-    order = sorted(range(w.n), key=lambda l: (-v2(w.pairs[l][1]), l))
-    head = [w.pairs[l] for l in order[:-1]]
-    q_prime = math.lcm(*(ql for _, ql in head))
-    q_ratio = w.q // q_prime
-    if q_ratio == 2:
-        raise AssertionError(
-            "q/q' = 2 after 2-adic ordering; this contradicts the ordering "
-            f"invariant for weights {w.pairs} and should be reported as a bug")
-    if q_prime >= 3:
-        sub = _construct_recursive(make_cyclic_weights(head))
-        if sub is not None:
-            if q_ratio == 1:
-                r = np.zeros(w.n)
-                r[order[:-1]] = sub.r
-                return _certify(w, r, sub.j)
-            combined = _combine(w, order, sub, q_prime)
-            if combined is not None:
-                return combined
-    # head block of order < 3 (or combination infeasible): no proof-shaped
-    # certificate; caller falls back to the direction search
-    return None
 
 
 def find_subunity_point(w: CyclicWeights, cert: ResonanceCertificate,
@@ -225,8 +137,8 @@ def find_subunity_point(w: CyclicWeights, cert: ResonanceCertificate,
 
     The closed form carries pi inside the exponent, so the oscillatory phase
     at t is pi t^2 sin_sum; this choice of t_k lands it on (2k+1) pi where the
-    dominant character contributes -1.  If no phase works, a dense ray scan
-    with golden-section refinement is tried as fallback.
+    dominant character contributes -1.  If no phase works, min_on_ray's dense
+    ray scan with Brent refinement is tried as fallback (k = -1).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -241,8 +153,8 @@ def find_subunity_point(w: CyclicWeights, cert: ResonanceCertificate,
         # fallback: global scan of the ray up to the largest phase tried
         t_star, rho_star = min_on_ray(w, r, float(ts[-1]), nodes=2048)
         if rho_star < 1.0:
-            return SubUnityWitness(z=tuple(t_star * sq), rho=rho_star, k=-1,
+            return SubUnityWitness(z=tuple(map(complex, t_star * sq)), rho=rho_star, k=-1,
                                    t=t_star, found=True)
     k = int(below[0]) if below.size else int(np.argmin(rhos))
-    return SubUnityWitness(z=tuple(ts[k] * sq), rho=float(rhos[k]), k=k,
+    return SubUnityWitness(z=tuple(map(complex, ts[k] * sq)), rho=float(rhos[k]), k=k,
                            t=float(ts[k]), found=bool(below.size))

@@ -127,8 +127,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_direction_search_past_its_cap_is_1(self, tmp_path, monkeypatch, capsys):
-        # 1/2,1/3 has no recursive certificate, so it reaches the direction
-        # search; with no direction allowed that search finds none: a failed
+        # with no direction allowed the search finds no certificate: a failed
         # computation, not bad input
         monkeypatch.setattr(resonance, "MAX_SEARCH_DIRECTIONS", 0)
         out = tmp_path / "r.csv"
@@ -206,7 +205,7 @@ class TestOutputFormat:
     def test_import_and_sweep_load_no_scipy(self, tmp_path):
         # neither the import, the revolution path nor any subcommand loads
         # SciPy: every shipped config, the perturbed Gram path, a ray, and a
-        # resonance system that takes the direction search
+        # resonance system
         src = str(Path(bergman.__file__).resolve().parents[1])
         configs = sorted(str(p) for p in (Path(src).parent / "configs").glob("*.json"))
         assert configs

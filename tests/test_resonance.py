@@ -67,15 +67,16 @@ class TestConstruction:
         assert argmax == {cert.j, w.q - cert.j}
 
     @pytest.mark.parametrize("pairs,j,r", [
-        ([(1, 3)], 1, (1.0,)),                                            # base case
-        ([(1, 8), (1, 12), (1, 3)], 1, (1.0, 6.478215600015481, 0.0)),    # q / q' = 1
-        ([(1, 4), (1, 3)], 9, (1.0, 1.6666666666666667)),                 # _combine
-        ([(1, 2), (1, 3)], 2, (1.0, 1.0)),                                # direction search
+        ([(1, 3)], 1, (1.0,)),
+        ([(1, 8), (1, 12), (1, 3)], 1, (1.0, 1.0, 0.0)),
+        ([(1, 4), (1, 3)], 3, (1.0, 1.0)),
+        ([(1, 2), (1, 3)], 2, (1.0, 1.0)),
     ])
     def test_pinned_certificate_per_branch(self, pairs, j, r):
         cert = construct_certificate(make_cyclic_weights(pairs))
         assert cert.j == j
         assert cert.r == pytest.approx(r, rel=1e-12, abs=0.0)
+        assert all(type(x) is float for x in cert.r)
 
     def test_q_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -101,6 +102,15 @@ class TestSubUnity:
         wit = find_subunity_point(w, cert)
         assert wit.found and wit.rho < 1.0
         assert abs(rho_closed(w, np.array(wit.z)) - wit.rho) < 1e-12
+        assert all(type(x) is complex for x in wit.z)
+
+    def test_ray_scan_fallback(self):
+        # the certificate's sine sum is -4.5e-4, so no phase t_k with k <= 50
+        # dips below 1; min_on_ray's scan of the ray finds the witness (k = -1)
+        w = make_cyclic_weights([(2, 5), (101, 210), (43, 90), (3, 20)])
+        wit = find_subunity_point(w, construct_certificate(w))
+        assert wit.found and wit.k == -1 and wit.rho < 1.0
+        assert wit.rho == rho_closed(w, np.array(wit.z))
 
     def test_kmax_validation(self):
         w = make_cyclic_weights([(1, 3)])
@@ -168,15 +178,12 @@ MARGIN_FLOOR = 1e-9
     (7, 1200, lambda i: 1 + i % 3, lambda rng: rng.randint(2, 60), 3000),
     # B: n = 2, 3, 4 in turn, q_l from highly composite orders, q <= 20000
     (11, 1500, lambda i: 2 + i % 3, lambda rng: rng.choice(ORDERS_B), 20000),
-], ids=["A", "B"])
-def test_certificate_battery(battery, monkeypatch):
+    # wide: n = 5 .. 10 in turn, q_l from the first 19 of those orders, q <= 20000
+    (5, 600, lambda i: 5 + i % 6, lambda rng: rng.choice(ORDERS_B[:19]), 20000),
+], ids=["A", "B", "wide"])
+def test_certificate_battery(battery):
     """Every certificate verifies, clears MARGIN_FLOOR, and passes a check
-    with unreduced phases cos(2 pi k p_l / q_l); the direction search, which
-    raises past its cap, serves a few hundred of the systems."""
-    searched = []
-    search = resonance._direction_search
-    monkeypatch.setattr(resonance, "_direction_search",
-                        lambda w: searched.append(w.pairs) or search(w))
+    with unreduced phases cos(2 pi k p_l / q_l)."""
     for pairs in _coprime_battery(*battery):
         w = make_cyclic_weights(pairs)
         cert = construct_certificate(w)
@@ -187,7 +194,6 @@ def test_certificate_battery(battery, monkeypatch):
         rivals = [k for k in range(1, w.q) if k not in (cert.j, w.q - cert.j)]
         assert S[cert.j] - np.max(S[rivals], initial=-math.inf) >= MARGIN_FLOOR, pairs
         assert abs(np.sin(theta[cert.j]) @ np.array(cert.r)) >= resonance.SIN_MIN, pairs
-    assert len(searched) >= 150
 
 
 @pytest.mark.parametrize("pairs", [
@@ -196,12 +202,10 @@ def test_certificate_battery(battery, monkeypatch):
     [(1, 2)] * 199 + [(1, 3)],  # so do the comb(201, 2) directions of sum 2
 ], ids=["n7", "n15", "n200"])
 def test_many_coordinates_search_small_sums_first(pairs, monkeypatch):
-    # the head block has order 2, so the recursive construction has no
-    # certificate; e_1 + e_l certifies, with l the (1, 3) coordinate.  The
-    # e_l of a (1, 2) coordinate has its cosine maximum at {2, 4} alone but
-    # no sine sum, so the verifier sees only the certificate
+    # e_1 + e_l certifies, with l the (1, 3) coordinate.  The e_l of a
+    # (1, 2) coordinate has its cosine maximum at {2, 4} alone but no sine
+    # sum, so the verifier sees only the certificate
     w = make_cyclic_weights(pairs)
-    assert resonance._construct_recursive(w) is None
     calls = []
     certify = resonance._certify
     monkeypatch.setattr(resonance, "_certify", lambda *a: calls.append(a) or certify(*a))
