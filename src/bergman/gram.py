@@ -150,8 +150,11 @@ def _correction_matrix(model: GramModel) -> np.ndarray:
     phi, D = _polar_fields(model.pert, rho, nt)
     s = (rho * rho)[:, None]
     W = (1.0 + s) ** (-m) * (np.exp(m * phi) * D - 1.0 / (math.pi * (1.0 + s) ** 2))
-    # angular transform: A[r, d] = int W e^{-i d theta} d theta
-    A = np.fft.fft(W, axis=1) * (2.0 * math.pi / nt)
+    # angular transform: A[r, d] = int W e^{-i d theta} d theta; W is real, so
+    # column d > nt/2 is the conjugate of column nt - d
+    A = np.fft.rfft(W, axis=1) * (2.0 * math.pi / nt)
+    if m > nt // 2:
+        A = np.hstack((A, A[:, nt // 2 - 1:0:-1].conj()))
     # z^i conj(z)^j carries rho^(i+j) e^{-i (j-i) theta}: C_ij = M[i+j, j-i]
     P = wr[:, None] * rho[:, None] ** np.arange(2 * m + 1)
     M = P.T @ A[:, :m + 1]

@@ -3,7 +3,8 @@
 Two independent routes: the q-term closed-form character sum, and a truncated
 sum over invariant monomials with a rigorous Poisson tail bound
 q P(N > cap), N ~ Poisson(pi |z|^2).  The second exists purely to check the
-first.
+first.  The character sum is taken in real arithmetic over the half j <= q/2
+of its conjugate pairs (j, q-j); only its imaginary residue reads the rest.
 """
 
 from __future__ import annotations
@@ -43,49 +44,59 @@ def _check_point(w: CyclicWeights, z, batch: bool = False) -> np.ndarray:
     return z
 
 
+def _closed_form(w: CyclicWeights, z, residue: bool):
+    """(rho,) from the rows j <= q/2 of rho = sum_j e^{a_j} cos b_j, with
+    a_j + i b_j = pi sum_l |z_l|^2 e^{i theta_l(j)} - pi |z|^2; with residue,
+    from all q rows, (rho, sum_{0<j<q/2} |Im t_j + Im t_{q-j}| + |Im t_{q/2}|),
+    Im t_j = e^{a_j} sin b_j.  Each sum over l is accumulated one coordinate
+    at a time, which keeps rows independent of the batch."""
+    z = _check_point(w, z, batch=True)
+    q, e = w.q, w.characters  # e: (q, n), its cos and sin in .real and .imag
+    block = max(1, _BLOCK_TERMS // q)
+    if z.ndim == 2 and len(z) > block:
+        parts = zip(*(_closed_form(w, z[i:i + block], residue) for i in range(0, len(z), block)))
+        return tuple(np.concatenate(p) for p in parts)
+    s = np.abs(np.atleast_2d(z)) ** 2
+    k = q if residue else q // 2 + 1  # rows j < k
+    re, im = s[:, :1] * e.real[:k, 0], s[:, :1] * e.imag[:k, 0]
+    for l in range(1, w.n):
+        re += s[:, l:l + 1] * e.real[:k, l]
+        im += s[:, l:l + 1] * e.imag[:k, l]
+    mag = np.exp(np.pi * re - np.pi * np.sum(s, axis=1)[:, None])
+    terms = mag * np.cos(np.pi * im)
+    value = terms[:, 0] + 2.0 * np.sum(terms[:, 1:(q + 1) // 2], axis=1)
+    if q % 2 == 0:  # j = q/2 is its own conjugate
+        value = value + terms[:, q // 2]
+    out = (value,)
+    if residue:
+        t = mag * np.sin(np.pi * im)
+        out += (np.sum(np.abs(t[:, 1:(q + 1) // 2] + t[:, q - 1:q // 2:-1]), axis=1)
+                + (np.abs(t[:, q // 2]) if q % 2 == 0 else 0.0),)
+    return tuple(float(x[0]) for x in out) if z.ndim == 1 else out
+
+
 def rho_closed_detailed(w: CyclicWeights, z):
-    """Closed-form kernel value and the accumulated imaginary residue.
+    """Closed-form kernel value and the imaginary residue of the character sum.
 
     rho(z) = e^{-pi|z|^2} sum_{j=0}^{q-1} exp(pi sum_l |z_l|^2 e^{2 pi i j p_l / q_l}).
 
     z is one point of shape (n,), giving two floats, or N points of shape
     (N, n), giving two arrays of shape (N,); a batched row equals the
-    single-point call bit for bit.  Terms j and q-j are complex conjugates;
-    they are added pairwise so the imaginary parts cancel before accumulation.
-    The residue reported is the magnitude of the imaginary part left by naive
-    accumulation, relative terms included, and should sit at machine noise.
+    single-point call bit for bit, and the value equals rho_closed's.  The
+    residue is sum_j |Im t_j + Im t_{q-j}| over the conjugate pairs of terms
+    t_j, the imaginary part taken from the terms above q/2 as well as below,
+    and should sit at machine noise relative to sum_j |t_j|.
     """
-    z = _check_point(w, z, batch=True)
-    q, e = w.q, w.characters  # e: (q, n)
-    rows = max(1, _BLOCK_TERMS // q)
-    if z.ndim == 2 and len(z) > rows:
-        value, resid = zip(*(rho_closed_detailed(w, z[i:i + rows])
-                             for i in range(0, len(z), rows)))
-        return np.concatenate(value), np.concatenate(resid)
-    s = np.abs(z) ** 2
-    # exponent_j = pi * sum_l s_l e^{i theta_l(j)} - pi |z|^2; an elementwise
-    # sum rather than a matrix product keeps rows independent of the batch
-    expo = np.pi * np.sum(s[..., None, :] * e, axis=-1) \
-        - np.pi * np.sum(s, axis=-1)[..., None]
-    terms = np.exp(expo)
-    lo = terms[..., 1:(q + 1) // 2]   # j = 1 .. ceil(q/2)-1
-    hi = terms[..., q - 1:q // 2:-1]  # their conjugates q-j
-    value = terms[..., 0].real + 2.0 * np.sum(lo.real, axis=-1)
-    resid = np.sum(np.abs(lo.imag + hi.imag), axis=-1)
-    if q % 2 == 0:  # j = q/2 is its own conjugate
-        value = value + terms[..., q // 2].real
-        resid = resid + np.abs(terms[..., q // 2].imag)
-    if z.ndim == 1:
-        return float(value), float(resid)
-    return value, resid
+    return _closed_form(w, z, residue=True)
 
 
 def rho_closed(w: CyclicWeights, z):
     """Closed-form Bergman kernel of C^n/Z_q at the orbit of z (m = 1).
 
-    A float for one point of shape (n,), an array for points of shape (N, n)."""
-    value, _ = rho_closed_detailed(w, z)
-    return value
+    A float for one point of shape (n,), an array for points of shape (N, n).
+    Only the terms j <= q/2 are formed: term 0, twice the real part of each
+    conjugate pair (j, q-j), and the middle term j = q/2 once."""
+    return _closed_form(w, z, residue=False)[0]
 
 
 def admissible_indices(w: CyclicWeights, degree_cap: int) -> list[tuple[int, ...]]:

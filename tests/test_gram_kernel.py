@@ -401,6 +401,30 @@ class TestGram:
                 assert abs(C[i, j] - np.sum(terms)) <= tol
                 assert C[j, i] == np.conj(C[i, j])
 
+    @pytest.mark.parametrize("n_theta", [320, 512])
+    def test_real_fft_matches_complex_fft(self, n_theta):
+        # m = 300 > n_theta/2: the columns d > n_theta/2 of the angular transform
+        # are conjugates of columns n_theta - d, which on 320 angles are far
+        # above rounding; the complex FFT of the same W is the reference, to
+        # the transforms' rounding of log2(n_theta) eps per row mass
+        m, pert = 300, PerturbedPotential(6)
+        model = GramModel(m, pert, n_theta=n_theta)
+        rho, wr = gram._radial_rule(model.n_r)
+        nt = model.n_theta
+        s = (rho * rho)[:, None]
+        phi, D = gram._polar_fields(pert, rho, nt)
+        W = (1.0 + s) ** (-m) * (np.exp(m * phi) * D - 1.0 / (math.pi * (1.0 + s) ** 2))
+        h = 2.0 * math.pi / nt
+        P = wr[:, None] * rho[:, None] ** np.arange(2 * m + 1)
+        M = P.T @ (np.fft.fft(W, axis=1)[:, :m + 1] * h)
+        i, j = np.indices((m + 1, m + 1))
+        want = np.where(j > i, M[i + j, np.abs(j - i)], M[i + j, np.abs(j - i)].conj())
+        mass = np.abs(P).T @ (np.sum(np.abs(W), axis=1) * h)
+        tol = math.log2(nt) * np.finfo(float).eps * mass[i + j]
+        C = gram._correction_matrix(model)
+        assert np.all(np.abs(C - want) <= tol)
+        assert np.any(C != want)  # the two transforms do differ in rounding
+
     @pytest.mark.parametrize("k", [5, 6])
     def test_polar_fields_match_pointwise(self, k):
         # the (phi, D) of the correction and field grids, the cutoff taken once

@@ -5,7 +5,7 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergman import orbifold
@@ -51,6 +51,16 @@ class TestClosedForm:
         w = make_cyclic_weights([(2, 7), (3, 5)])
         _, resid = rho_closed_detailed(w, [1.1 + 0.0j, 0.4])
         assert resid < 1e-12
+
+    def test_residue_reads_both_halves(self):
+        # at the ray minimum of C/Z_213 the pairs' imaginary parts cancel to
+        # rounding, not to zero: a residue taken from the terms j < q/2 alone
+        # reads either 0 or their full imaginary parts
+        w = make_cyclic_weights([(1, 213)])
+        t_star, _ = min_on_ray(w, [1.0], 8.0)
+        _, resid = rho_closed_detailed(w, [t_star])
+        _, mass = _rho_loop(w, [t_star])
+        assert 0.0 < resid <= w.q * np.finfo(float).eps * mass
 
     @pytest.mark.parametrize("pairs, z", [
         ([(1, 3), (62, 71)], [0.0, 2.0j]),
@@ -353,18 +363,35 @@ def _rho_loop(w, z):
     return value, sum(abs(t) for t in terms)
 
 
+# q = 1 .. 4: no pair, one pair, and the odd and the even middle term
+_SMALL_Q = [(make_cyclic_weights(pairs), np.array(z), 1) for pairs, z in [
+    ([(0, 1)], [[0.7 - 0.2j], [1.9j]]),
+    ([(1, 2)], [[1.3], [0.4 + 0.9j]]),
+    ([(1, 3), (2, 3)], [[0.6, 1.1j], [-1.4, 0.3 + 0.3j]]),
+    ([(1, 4), (1, 2), (3, 4)], [[0.8, 0.5j, -1.2], [1.7j, 0.1, 0.9 - 0.4j]]),
+]]
+
+
 class TestBatchedShape:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(_weights_and_points())
+    @example(_SMALL_Q[0])
+    @example(_SMALL_Q[1])
+    @example(_SMALL_Q[2])
+    @example(_SMALL_Q[3])
     def test_rows_match_single_points(self, case):
         w, z, _ = case
         values, resids = rho_closed_detailed(w, z)
         assert values.shape == resids.shape == (len(z),)
+        # the half-table value equals the full table's, bit for bit
+        assert np.all(rho_closed(w, z) == values)
         for row, value, resid in zip(z, values, resids):
             single = rho_closed_detailed(w, row)
             assert single == (value, resid)
+            assert rho_closed(w, row) == value
             assert all(type(x) is float for x in single)
-            # only the order of the additions differs from the reference
+            # only the order of the additions and the rounding of exp differ
+            # from the reference
             ref, mass = _rho_loop(w, row)
             assert abs(value - ref) <= w.q * np.finfo(float).eps * mass
 
