@@ -27,7 +27,7 @@ from .analysis import (
     lp_deviation,
     tyz_a1_estimate,
 )
-from .gram import GramModel, gram_matrix, rho_gram, rho_gram_field, scaled_gram
+from .gram import GramModel, gram_matrix, rho_gram, rho_gram_field
 from .kernels import cpn_fs_exact, cpn_fs_oracle, rho_revolution
 from .models import (
     PerturbedPotential,
@@ -170,8 +170,8 @@ def _cmd_revolution(p):
 
 
 def _scaled_cond(G) -> float:
-    """Condition number of the matrix the Gram path factors."""
-    lam = np.linalg.eigvalsh(scaled_gram(G))
+    """Condition number of G, the Gram matrix of e_k that the Cholesky factor sees."""
+    lam = np.linalg.eigvalsh(G)
     return float(lam[-1] / lam[0])
 
 

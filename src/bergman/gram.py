@@ -3,8 +3,8 @@
 The base metric is degree-1 Fubini-Study normalized to area 1, whose Gram
 matrix is diagonal with Beta-function entries.  A perturbation of the
 potential (supported in the unit disc of the affine chart) adds a correction
-integral; the Gram inverse then gives the kernel as a quadratic form, taken
-in the basis e_k = z^k / sqrt(N_k^FS) with one Cholesky factor per model.
+integral.  The Gram matrix and the kernel's quadratic form are both taken in
+the one basis e_k = z^k / sqrt(N_k^FS), with one Cholesky factor per model.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "gram_matrix",
     "rho_gram",
     "rho_gram_field",
-    "scaled_gram",
     "perturbed_area_density",
     "perturbed_scalar_curvature",
 ]
@@ -37,7 +36,8 @@ class GramModel:
     The weight is the FS one, (1+|z|^2)^{-m} e^{m phi} d mu, with the measure
     d mu the perturbed area form; quadrature for the correction runs on an
     n_r x n_theta polar tensor grid over the perturbation's support, its
-    angles and fields taken on the first octant: n_theta is a multiple of 8."""
+    angles and fields taken on the first octant: n_theta is a multiple of 8
+    and, with a perturbation, above m, the highest harmonic the grid must hold."""
 
     m: int
     pert: PerturbedPotential | None = None
@@ -49,6 +49,8 @@ class GramModel:
             raise ValueError("m must be >= 1")
         if self.n_r < 8 or self.n_theta < 8 or self.n_theta % 8:
             raise ValueError("quadrature grid too small, or n_theta not a multiple of 8")
+        if self.pert is not None and self.m >= self.n_theta:
+            raise ValueError(f"m = {self.m} needs more than n_theta = {self.n_theta} angles")
 
     def refined(self) -> "GramModel":
         return GramModel(self.m, self.pert, self.n_r * 2, self.n_theta * 2)
@@ -143,11 +145,13 @@ def _polar_fields(pert: PerturbedPotential | None, rho: np.ndarray, n_theta: int
 
 def _correction_matrix(model: GramModel) -> np.ndarray:
     """C_ij = int z^i conj(z)^j (1+s)^{-m} [e^{m phi} D - D_0] dx dy over the
-    unit disc, on a polar tensor grid with FFT over the angle."""
+    unit disc (basis z^k), on a polar tensor grid with FFT over the angle."""
     m = model.m
     rho, wr = _radial_rule(model.n_r)
     nt = model.n_theta
     phi, D = _polar_fields(model.pert, rho, nt)
+    if D.min() <= 0.0:  # no metric; a NaN passes on to _finite, a failed computation
+        raise ValueError(f"area density not positive on the grid (minimum {D.min():.3e})")
     s = (rho * rho)[:, None]
     W = (1.0 + s) ** (-m) * (np.exp(m * phi) * D - 1.0 / (math.pi * (1.0 + s) ** 2))
     # angular transform: A[r, d] = int W e^{-i d theta} d theta; W is real, so
@@ -171,28 +175,23 @@ def _finite(a, what: str):
 
 
 def gram_matrix(model: GramModel) -> np.ndarray:
-    """Hermitian Gram matrix of z^0..z^m in the model's weighted L^2 product."""
-    G = np.diag(np.exp(fs_log_norms(model.m))).astype(complex)
+    """Hermitian Gram matrix of e_k = z^k / sqrt(N_k^FS), k = 0..m, in the
+    model's weighted L^2 product: the identity plus the correction C_ij s_i s_j,
+    s_k = N_k^FS^{-1/2}; exactly the identity without perturbation."""
+    G = np.eye(model.m + 1, dtype=complex)
     if model.pert is not None:
-        G = G + _correction_matrix(model)
+        s = np.exp(-0.5 * fs_log_norms(model.m))
+        G = G + np.outer(s, s) * _correction_matrix(model)  # s_i s_j is s_j s_i: exactly Hermitian
     return _finite(G, "Gram matrix")
 
 
-def scaled_gram(G: np.ndarray) -> np.ndarray:
-    """S G S with S = diag(N_k^FS)^{-1/2}: the Gram matrix in the basis
-    e_k = z^k / sqrt(N_k^FS), the identity without perturbation."""
-    s = np.exp(-0.5 * fs_log_norms(len(G) - 1))
-    return s[:, None] * G * s
-
-
 def _inverse_factor(G: np.ndarray) -> np.ndarray:
-    """L^{-1} for the lower Cholesky factor L of scaled_gram(G)."""
+    """L^{-1} for the lower Cholesky factor L of G, which must exist."""
     try:
-        return np.linalg.inv(np.linalg.cholesky(scaled_gram(G)))
-    except np.linalg.LinAlgError as e:
-        lam = np.linalg.eigvalsh(scaled_gram(G))[0]
-        raise np.linalg.LinAlgError(
-            f"Gram matrix not positive definite (smallest eigenvalue {lam:.3e})") from e
+        return np.linalg.inv(np.linalg.cholesky(G))
+    except np.linalg.LinAlgError as e:  # a ValueError, which would read as bad input
+        raise ArithmeticError("Gram matrix not positive definite (smallest eigenvalue "
+                              f"{np.linalg.eigvalsh(G)[0]:.3e})") from e
 
 
 def _log_frame(m: int, r: np.ndarray) -> np.ndarray:
@@ -206,10 +205,10 @@ def _log_frame(m: int, r: np.ndarray) -> np.ndarray:
 
 
 def rho_gram(G: np.ndarray, model: GramModel, z):
-    """Bergman kernel v* G^{-1} v (1+|z|^2)^{-m} e^{m phi(z)}, v = (z^k), at
-    affine-chart points: |L^{-1} v|^2 e^{m phi} in the basis e_k, with L the
-    factor of scaled_gram(G) and the weight's root folded into v.  One point
-    gives a float, an array of points an array of the same shape."""
+    """Bergman kernel v* G^{-1} v (1+|z|^2)^{-m} e^{m phi(z)}, v = (e_k(z)) and
+    G = gram_matrix(model), at affine-chart points: |L^{-1} v|^2 e^{m phi}, L the
+    Cholesky factor of G, the weight's root folded into v.  One point gives a
+    float, an array of points an array of the same shape."""
     m = model.m
     zs = np.asarray(z, dtype=complex).ravel()
     V = np.exp(_log_frame(m, np.abs(zs)) + 1j * np.angle(zs)[:, None] * np.arange(m + 1))
@@ -228,9 +227,9 @@ def rho_gram_field(model: GramModel, G: np.ndarray | None = None) -> KernelField
     at the cutoff's seams |z| = 1 and 1/2, times the trapezoid rule on 128
     angles.  On a latitude
     v* A v = sum_d c_d e^{i d theta}, c_d = sum_j |e_j| |e_{j+d}| A_{j,j+d}
-    with A the inverse of the scaled Gram matrix: one diagonal at a time,
-    then d folded mod n_theta and one inverse FFT.  The recorded radius is
-    the FS geodesic distance from the chart origin."""
+    with A = G^{-1}, G = gram_matrix(model) in the basis e_k: one diagonal
+    at a time, then d folded mod n_theta and one inverse FFT.  The recorded
+    radius is the FS geodesic distance from the chart origin."""
     if G is None:
         G = gram_matrix(model)
     m, n_lat, n_theta = model.m, 96, 128

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bergman
-from bergman import cli, resonance
+from bergman import cli, gram, resonance
 from bergman.cli import RunConfig, parse_config, run
 from bergman.gram import GramModel, gram_matrix
 from bergman.models import PerturbedPotential
@@ -62,6 +62,41 @@ class TestExitCodes:
         rho = float(read(out).splitlines()[-1].split(",")[-1])
         assert abs(rho / 201.0 - 1.0) < 1e-10
         capsys.readouterr()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gram_m1100_unperturbed(self, tmp_path, capsys):
+        # the monomial norms underflow to 0 from m = 1075 on; the Gram matrix
+        # of e_k is the identity, whatever m
+        out = tmp_path / "g.csv"
+        assert run(["gram", "--m", "1100", "--z", "0,0.5+0.2j,3", "--out", str(out)]) == 0
+        rho = [float(ln.split(",")[-1]) for ln in read(out).splitlines()[-3:]]
+        assert np.max(np.abs(np.array(rho) / 1101.0 - 1.0)) <= 1e-11
+        assert "# health: scaled_cond=1.0" in read(out)
+        assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gram", "lp"])
+    def test_perturbed_m_at_n_theta_is_2(self, command, monkeypatch, capsys):
+        # the 512-angle grid holds harmonics 0..511: refused before any work
+        monkeypatch.setattr(cli, "gram_matrix", lambda model: pytest.fail("Gram matrix built"))
+        assert run([command, "--m", "512", "--pert", "6"]) == 2
+        assert "needs more than n_theta = 512" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["gram", "--m", "16", "--pert", "2"],
+                                      ["gram", "--m", "64", "--pert", "1"],
+                                      ["lp", "--m", "16", "--pert", "2"]])
+    def test_nonpositive_density_is_2(self, argv, capsys):
+        # k = 1, 2 make the area density negative somewhere: no metric
+        assert run(argv) == 2
+        assert "area density not positive" in capsys.readouterr().err
+
+    def test_failed_cholesky_is_1(self, monkeypatch, capsys):
+        # a correction that makes G = -I: the factorization fails, which is
+        # a failed computation, not bad input
+        monkeypatch.setattr(gram, "_correction_matrix",
+                            lambda model: -2.0 * np.diag(np.exp(gram.fs_log_norms(model.m))))
+        assert run(["gram", "--m", "8", "--pert", "6", "--z", "0.2"]) == 1
+        err = capsys.readouterr().err
+        assert "computation failed" in err and "not positive definite" in err
 
     def test_lp_pert_m200(self, tmp_path, capsys):
         out = tmp_path / "l.csv"
@@ -306,9 +341,9 @@ class TestOutputFormat:
         assert float(fields["tail_bound"]) <= 1e-16
 
     def test_gram_path_health_header(self, tmp_path):
-        # the scaled Gram matrix is near the identity; the field integral is
-        # m+1 up to the correction's quadrature error.  The unscaled condition
-        # number is rounding noise above 1/eps and is not written.
+        # the Gram matrix of e_k is near the identity; the field integral is
+        # m+1 up to the correction's quadrature error.  The monomial basis's
+        # condition number is rounding noise above 1/eps and is not written.
         g, lp = tmp_path / "g.csv", tmp_path / "l.csv"
         assert run(["gram", "--m", "8", "--pert", "6", "--out", str(g)]) == 0
         assert run(["lp", "--m", "16", "--pert", "6", "--out", str(lp)]) == 0

@@ -371,10 +371,10 @@ class TestCpn:
 
 class TestGram:
     def test_zero_perturbation_diagonal(self):
+        # the basis e_k = z^k / sqrt(N_k^FS) is FS-orthonormal: no rounding at all
         m = 10
         G = gram_matrix(GramModel(m))
-        assert np.max(np.abs(G - np.diag(np.diag(G)))) == 0.0
-        assert np.max(np.abs(np.diag(G).real - np.exp(fs_log_norms(m)))) < 1e-12
+        assert G.dtype == complex and np.array_equal(G, np.eye(m + 1))
 
     def test_hermitian_exactly(self):
         G = gram_matrix(GramModel(8, PerturbedPotential(6)))
@@ -476,11 +476,13 @@ class TestGram:
         assert GramModel(8, PerturbedPotential(6), n_theta=64).refined().n_theta == 128
 
     def test_offdiagonal_magnitude_bound(self):
-        # couplings come from the k^-4 oscillation over the unit disc
+        # couplings come from the k^-4 oscillation over the unit disc: at most
+        # k^-4 pi between monomials, so k^-4 pi s_i s_j between e_i and e_j
         k, m = 6, 8
         G = gram_matrix(GramModel(m, PerturbedPotential(k)))
+        s = np.exp(-0.5 * fs_log_norms(m))
         off = G - np.diag(np.diag(G))
-        assert np.max(np.abs(off)) <= k ** -4.0 * math.pi
+        assert np.all(np.abs(off) <= k ** -4.0 * math.pi * np.outer(s, s))
 
     def test_unperturbed_rho_constant(self):
         m = 12
@@ -515,7 +517,7 @@ class TestGram:
         d = rng.uniform(0.5, 2.0, size=9)
         D = np.diag(d)
         z = 0.3 + 0.1j
-        v = z ** np.arange(9)
+        v = z ** np.arange(9) * np.exp(-0.5 * fs_log_norms(8))  # e_k(z)
         q1 = np.real(np.vdot(v, np.linalg.solve(G, v)))
         q2 = np.real(np.vdot(D @ v, np.linalg.solve(D @ G @ D, D @ v)))
         assert abs(q1 - q2) < 1e-10 * abs(q1)
@@ -567,8 +569,8 @@ class TestGram:
 
     @pytest.mark.parametrize("m", [8, 32, 128, 200])
     def test_field_matches_batched_rho_gram(self, m):
-        # two routes to the same values: Fourier diagonals of the scaled
-        # inverse on each latitude, and triangular solves at each node
+        # two routes to the same values: Fourier diagonals of the inverse
+        # Gram matrix on each latitude, and triangular solves at each node
         model = GramModel(m, PerturbedPotential(6))
         G = gram_matrix(model)
         fld = rho_gram_field(model, G)
@@ -592,3 +594,24 @@ class TestGram:
             GramModel(0)
         with pytest.raises(ValueError):
             GramModel(5, None, n_r=2)
+
+    def test_perturbed_m_below_n_theta(self):
+        # the correction reads angular harmonics 0..m of the n_theta-angle grid
+        with pytest.raises(ValueError, match="needs more than n_theta = 512"):
+            GramModel(512, PerturbedPotential(6))
+        with pytest.raises(ValueError, match="needs more than n_theta = 64"):
+            GramModel(100, PerturbedPotential(6), n_theta=64)
+        assert GramModel(511, PerturbedPotential(6)).m == 511
+
+    def test_unperturbed_model_is_unbounded(self):
+        # without a perturbation no grid is read: any m is a model
+        assert GramModel(5000).m == 5000 and GramModel(700, None, n_theta=8).m == 700
+
+    def test_unperturbed_m1100(self):
+        # N_k^FS underflows to 0 from m = 1075 on; the basis e_k never forms it
+        m = 1100
+        model = GramModel(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = rho_gram(gram_matrix(model), model, np.array([0.0, 0.5 + 0.2j, 3.0]))
+        assert np.max(np.abs(rho / (m + 1) - 1.0)) <= 1e-11
