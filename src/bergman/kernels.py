@@ -10,7 +10,8 @@ nodes near the radius where 2ku - 2 pi m phi peaks, and rho_m at a point on
 the k near its moment-map value.  One banded evaluator, _banded_logsumexp,
 sums either kind in blocks of rows with temporaries of about _BUDGET
 entries, each block only over the columns within e^-_CUT of its edge rows'
-largest terms.  It bounds the mass it leaves out from terms it has
+largest terms, each block summed in place; only the public logsumexp
+copies its input.  It bounds the mass it leaves out from terms it has
 computed, refuses a bound above _TAIL_LIMIT and reports the rest; a
 KernelField carries the largest as ``tail_bound``.
 """
@@ -52,20 +53,23 @@ def log_factorials(n: int) -> np.ndarray:
 def logsumexp(a, axis=None):
     """log sum exp(a) over an axis (all of a by default), bit for bit the value
     of scipy.special.logsumexp: every entry equal to the maximum is taken out
-    of the sum and counted, log1p(s/m) + log(m) + max.  Where that is not
-    finite (no finite maximum) the value is log sum exp(a) itself."""
-    a = np.asarray(a, dtype=float)
-    a_max = np.max(a, axis=axis, keepdims=True)
+    of the sum and counted, log1p(s/m) + log(m) + max.  Where the maximum is
+    not finite, the value is the maximum.  The input is copied once, here;
+    _logsumexp_into sums in place on the copy."""
+    return _logsumexp_into(np.array(a, dtype=float), axis)
+
+
+def _logsumexp_into(a: np.ndarray, axis=None):
+    """logsumexp of a float array, which it overwrites with the summed terms."""
+    a_max = a.max(axis=axis, keepdims=True)
     top = a == a_max
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        e = np.exp(a - a_max)
-        np.copyto(e, 0.0, where=top)
-        m = np.sum(top, axis=axis, keepdims=True, dtype=float)
-        out = np.log1p(np.sum(e, axis=axis, keepdims=True) / m) + np.log(m) + a_max
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
-    out = np.squeeze(out, axis=axis)
+        np.subtract(a, a_max, out=a)
+        np.exp(a, out=a)
+        np.copyto(a, 0.0, where=top)
+        m = top.sum(axis=axis, keepdims=True, dtype=float)
+        out = np.log1p(a.sum(axis=axis, keepdims=True) / m) + np.log(m) + a_max
+    out = np.squeeze(np.where(np.isfinite(a_max), out, a_max), axis=axis)
     return out[()] if out.ndim == 0 else out
 
 
@@ -73,16 +77,16 @@ def _banded_logsumexp(term, n_rows: int, n_cols: int):
     """log sum_i e^{t_ji} for every row j of an n_rows x n_cols exponent
     matrix t, and a bound on the mass left out relative to the kept sum.
 
-    ``term(rows, cols)`` returns the block of t on two slices.  t must have
-    increasing differences, t_ji - t_ji' nondecreasing in j for i > i'; any
-    2 x_j y_i + a_j + b_i with x and y sorted ascending has them.  A matrix of
-    at most _BUDGET entries is summed whole.  Otherwise the edge rows j0 < j1
-    of each block are summed in full, and their bands (the columns within
-    e^-_CUT of the row's largest term, at p0 and p1) span the block's band
-    [lo, hi]; the rows between are summed on it alone, at most _BUDGET
-    entries at a time.  For j0 <= j <= j1, increasing differences give
-    t_ji - t_jp0 <= t_j0i - t_j0p0 for i < lo and t_ji - t_jp1 <= t_j1i - t_j1p1
-    for i > hi, so row j leaves out at most
+    ``term(rows, cols)`` returns the block of t on two slices as a new array,
+    which the sum overwrites.  t must have increasing differences, t_ji - t_ji'
+    nondecreasing in j for i > i'; any 2 x_j y_i + a_j + b_i with x and y
+    sorted ascending has them.  A matrix of at most _BUDGET entries is summed
+    whole.  Otherwise the edge rows j0 < j1 of each block are summed in full,
+    and their bands (the columns within e^-_CUT of the row's largest term, at
+    p0 and p1) span the block's band [lo, hi]; the rows between are summed on
+    it alone, at most _BUDGET entries at a time.  For j0 <= j <= j1,
+    increasing differences give t_ji - t_jp0 <= t_j0i - t_j0p0 for i < lo and
+    t_ji - t_jp1 <= t_j1i - t_j1p1 for i > hi, so row j leaves out at most
     sum_{i<lo} e^{t_j0i - t_j0p0} + sum_{i>hi} e^{t_j1i - t_j1p1} of its kept
     sum.  The largest such bound is returned; above _TAIL_LIMIT the sum is
     refused with ArithmeticError.
@@ -92,7 +96,7 @@ def _banded_logsumexp(term, n_rows: int, n_cols: int):
     block takes s = sqrt((n_cols + _BLOCK_COST) / v) rows, v measured on the
     last block, and at most twice as many rows as the last."""
     if n_rows * n_cols <= _BUDGET:
-        return logsumexp(term(slice(None), slice(None)), axis=1), 0.0
+        return _logsumexp_into(term(slice(None), slice(None)), 1), 0.0
     out = np.empty(n_rows)
 
     def edge(j):  # row j in full: its exponents, the peak and the band
@@ -111,7 +115,7 @@ def _banded_logsumexp(term, n_rows: int, n_cols: int):
         rows = max(1, _BUDGET // (hi - lo))
         for j in range(j0 + 1, j1, rows):
             block = slice(j, min(j + rows, j1))
-            out[block] = logsumexp(term(block, slice(lo, hi)), axis=1)
+            out[block] = _logsumexp_into(term(block, slice(lo, hi)), 1)
         left_out = np.sum(np.exp(e0[:lo] - e0[p0])) + np.sum(np.exp(e1[hi:] - e1[p1]))
         tail = max(tail, float(left_out))
         fit = math.isqrt((n_cols + _BLOCK_COST) * (j1 - j0) // max(p1 - p0, 1))
@@ -133,7 +137,12 @@ def _log_norms_on(rule, m: int, ks: np.ndarray):
     if np.any(u[1:] < u[:-1]):
         raise ArithmeticError("rule nodes are not sorted in u")
     base = log_w + math.log(2.0 * math.pi) + log_psi - 2.0 * math.pi * m * phi
-    return _banded_logsumexp(lambda k, i: 2.0 * ks[k, None] * u[i] + base[i], len(ks), len(u))
+
+    def term(k, i):
+        t = np.multiply.outer(2.0 * ks[k], u[i])
+        t += base[i]
+        return t
+    return _banded_logsumexp(term, len(ks), len(u))
 
 
 def log_monomial_norms(table: PotentialTable, m: int,
@@ -163,8 +172,13 @@ def _log_rho(u, phi, m: int, log_norms: np.ndarray):
     order = np.argsort(u, kind="stable")  # the band needs the points sorted in u
     u, c = u[order], 2.0 * math.pi * m * phi[order]
     ks = np.arange(len(log_norms))
-    log_rho, tail = _banded_logsumexp(
-        lambda j, k: 2.0 * ks[k] * u[j, None] - c[j, None] - log_norms[k], len(u), len(ks))
+
+    def term(j, k):
+        t = np.multiply.outer(u[j], 2.0 * ks[k])
+        t -= c[j, None]
+        t -= log_norms[k]
+        return t
+    log_rho, tail = _banded_logsumexp(term, len(u), len(ks))
     out = np.empty_like(log_rho)
     out[order] = log_rho
     return out, tail
@@ -235,12 +249,10 @@ def rho_revolution(profile: RevolutionProfile, m: int, points=None,
     tails = []
     log_norms = log_monomial_norms(table, m, tails)
     if points is None:
-        u = np.linspace(table.u_min, table.u_max, n_samples)
-    else:
+        u, r, phi, psi = table.grid(n_samples)
+    else:  # one u -> r inversion for phi and lambda
         u = np.asarray(table.u_of_r(points))
-    r, phi, psi, _ = table.locate(u)  # one u -> r inversion for r, phi and lambda
-    if points is not None:
-        r = points
+        r, (_, phi, psi, _) = points, table.locate(u)
     log_vals, tail = _log_rho(u, phi, m, log_norms)
     vals = np.exp(log_vals)
     tails.append(tail)

@@ -104,7 +104,9 @@ class PotentialTable:
 
     ``nodes`` and ``check_nodes`` are (log weights, u, phi, log psi) on the
     norm rule and the half-width rule; ``error`` is their largest difference
-    in a, u and phi at the inner panel edges.  u is clipped to [u_min, u_max]."""
+    in a, u and phi at the inner panel edges.  u is clipped to [u_min, u_max].
+    ``grid(n)`` is (u, r, phi, psi) on n points evenly spaced in u over that
+    window, inverted once per table and n and kept read-only."""
 
     profile: RevolutionProfile = field(repr=False)
     d: int
@@ -116,6 +118,7 @@ class PotentialTable:
     check_nodes: tuple = field(repr=False, compare=False)
     _edges: np.ndarray = field(repr=False, compare=False)
     _v: np.ndarray = field(repr=False, compare=False)
+    _grids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _state(self, r, q):
         """u, phi, psi and a at radii r, with q = L - r."""
@@ -125,18 +128,33 @@ class PotentialTable:
 
     def locate(self, u):
         """r, phi, psi and a where u takes the given values: Newton in
-        w = log(r/(L-r)) on the panel polynomials, du/dr = 1/psi."""
+        w = log(r/(L-r)) on the panel polynomials, du/dr = 1/psi, until every
+        |u(w) - u| <= 8e-16 (1 + |u| + |w|), or <= 1e-12 (1 + |u|) where a step
+        has stopped shrinking (rounding, at a neck where du/dw is large)."""
         u = np.clip(np.asarray(u, dtype=float), self.u_min, self.u_max)
         flat, L = u.ravel(), self.profile.length
         r = _nodes(self._edges)[1].T.ravel()
         w = np.interp(flat, self.nodes[1], np.log(r / (L - r)))
+        step, floor = np.inf, False
         for _ in range(30):
             r, q = L / (1.0 + np.exp(-w)), L / (1.0 + np.exp(w))
             u_w, phi, psi, a = self._state(r, q)
-            if not (np.abs(u_w - flat) > 8e-16 * (1.0 + np.abs(flat) + np.abs(w))).any():
+            res, last = u_w - flat, step
+            step = res * psi * L / (r * q)
+            floor = floor | (np.abs(step) >= np.abs(last))
+            near = floor & (np.abs(res) <= 1e-12 * (1.0 + np.abs(flat)))
+            if not ((np.abs(res) > 8e-16 * (1.0 + np.abs(flat) + np.abs(w))) & ~near).any():
                 return [x.reshape(u.shape) for x in (r, phi, psi, a)]
-            w = w - (u_w - flat) * psi * L / (r * q)
+            w = w - step
         raise ArithmeticError("u -> r inversion did not converge")
+
+    def grid(self, n: int):
+        if n not in self._grids:
+            u = np.linspace(self.u_min, self.u_max, n)
+            self._grids[n] = (u, *self.locate(u)[:3])
+            for x in self._grids[n]:
+                x.flags.writeable = False
+        return self._grids[n]
 
     def r_of_u(self, u):
         return self.locate(u)[0]

@@ -186,6 +186,21 @@ class TestPotential:
         for a, b in zip(got.nodes + got.check_nodes, want.nodes + want.check_nodes):
             assert a.tobytes() == b.tobytes()
 
+    def test_neck_profile_inverts(self):
+        # psi dips to 0.018 at a neck: du/dr = 1/psi is large there, and the
+        # Newton steps in w stall at their rounding floor above the 8e-16 test
+        base = lambda r: np.sin(np.pi * r) / np.pi - 0.3 * np.exp(-((r - 0.5) / 0.02) ** 2)
+        seams = tuple(0.40 + 0.02 * i for i in range(11))
+        prof = rescale_to_area(RevolutionProfile(1.0, lambda r: base(np.asarray(r)), 1,
+                                                 (1.0, 1.0), "neck", seams), 1)
+        table = build_potential(prof)
+        assert table.error < 1e-12
+        for n in (512, 1024, 4096):
+            u = np.linspace(-5.0, 5.0, n)  # off the poles, where r -> u through L - r loses digits
+            assert np.all(np.abs(table.u_of_r(table.r_of_u(u)) - u) <= 1e-12 * (1.0 + np.abs(u)))
+        fld = rho_revolution(prof, 10, table=table)
+        assert abs(fld.integral - 11.0) < 1e-12
+
     def test_nonpositive_psi_refused(self):
         # area 1, seams at the edges of a bump of height 0.5 that takes psi
         # below zero on |r/c - 0.3| < 0.01; built directly, so only the table checks it
@@ -210,12 +225,14 @@ class TestLogSumExp:
         lambda n: st.lists(st.lists(_LSE_ENTRY, min_size=n, max_size=n), min_size=1, max_size=6)))
     def test_bits_equal_scipy(self, rows):
         a = np.array(rows)
-        for x, axis in ((a, None), (a, 1), (a[0], None)):
+        before = a.copy()
+        for x, axis in ((a, None), (a, 0), (a, 1), (a[0], None)):
             with np.errstate(divide="ignore"):
                 want = np.asarray(scipy.special.logsumexp(x, axis=axis))
             got = np.asarray(logsumexp(x, axis=axis))
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+            assert np.array_equal(a, before)  # the caller's array is left as it was
 
     def test_ties_and_infinite_rows(self):
         a = np.array([[1.0, 1.0, 0.0], [-math.inf] * 3, [2.0, -math.inf, 2.0]])
@@ -306,6 +323,25 @@ class TestRhoRevolution:
         integral = kernel_area_integral(cone8_table, m,
                                         log_monomial_norms(cone8_table, m))
         assert abs(integral - (m + 1)) < 1e-6
+
+    def test_one_grid_inversion_per_table(self, monkeypatch):
+        # the default sample grid is inverted once per table and grid size;
+        # its fields equal those of fresh tables, bit for bit
+        prof = rescale_to_area(make_cone_family(20), 1)
+        want = [rho_revolution(prof, m, table=build_potential(prof)) for m in (25, 400)]
+        calls = []
+        locate = potential.PotentialTable.locate
+        monkeypatch.setattr(potential.PotentialTable, "locate",
+                            lambda self, u: calls.append(np.size(u)) or locate(self, u))
+        table = build_potential(prof)
+        got = [rho_revolution(prof, m, table=table) for m in (25, 400)]
+        assert calls == [512]
+        for a, b in zip(got, want):
+            for name in ("r", "u", "values", "weights"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert (a.inf, a.sup, a.argmin_r, a.integral) == (b.inf, b.sup, b.argmin_r, b.integral)
+            assert not a.u.flags.writeable and not a.r.flags.writeable
+        assert got[0].u is got[1].u
 
     def test_explicit_points(self, round_table):
         fld = rho_revolution(round_sphere(), 5, points=[0.1, 0.3, 0.5])
