@@ -3,8 +3,10 @@
 The base metric is degree-1 Fubini-Study normalized to area 1, whose Gram
 matrix is diagonal with Beta-function entries.  A perturbation of the
 potential (supported in the unit disc of the affine chart) adds a correction
-integral.  The Gram matrix and the kernel's quadratic form are both taken in
-the one basis e_k = z^k / sqrt(N_k^FS), with one Cholesky factor per model.
+integral on a polar grid, its integrand formed on the first octant's angles
+for both signs of phi and gathered once into angle order.  The Gram matrix
+and the kernel's quadratic form are both taken in the one basis
+e_k = z^k / sqrt(N_k^FS), with one Cholesky factor per model.
 """
 
 from __future__ import annotations
@@ -62,19 +64,16 @@ def fs_log_norms(m: int) -> np.ndarray:
     return log_fact[:m + 1] + log_fact[m::-1] - log_fact[m + 1]
 
 
-def _phi_density(pert: PerturbedPotential | None, x, y, rho, cols=None):
+def _phi_density(pert: PerturbedPotential | None, x, y, rho, sign=1.0):
     """phi and the density D of the area form D dx dy at x + iy with
-    rho = |x + iy|, broadcast: the FS base minus Laplacian(phi)/(4 pi).
-    With cols = (o, sign), column j reflects column o[j], phi and Laplacian(phi) times sign[j].
+    rho = |x + iy|, broadcast: the FS base minus Laplacian(phi)/(4 pi), phi
+    and Laplacian(phi) taken times sign.
 
     The curvature-form convention ties the metric to the potential as
     omega = omega_FS - (i/2 pi) d dbar phi."""
     base = 1.0 / (math.pi * (1.0 + (x * x + y * y)) ** 2)
     phi, lap = (np.zeros_like(base),) * 2 if pert is None else pert.fields(x, y, rho)
-    if cols is not None:
-        o, sign = cols
-        base, phi, lap = base[:, o], phi[:, o] * sign, lap[:, o] * sign
-    return phi, base - lap / (4.0 * math.pi)
+    return phi * sign, base - lap * sign / (4.0 * math.pi)
 
 
 def perturbed_area_density(pert: PerturbedPotential | None, x, y):
@@ -127,33 +126,32 @@ def _octant(n: int):
     return np.cos(theta), np.sin(theta), np.minimum(j, n // 4 - j), j > n // 8, sx, sy
 
 
-def _polar(rho: np.ndarray, n_theta: int):
-    """(x, y, rho) on the grid rho x (n_theta equispaced angles, n_theta a multiple
-    of 8), rho as a column so that the cutoff is taken once per radius; cos and
-    sin come from the first octant, reflected, so the grid is exactly symmetric."""
-    c, s, o, swap, sx, sy = _octant(n_theta)
-    c, s = sx * np.where(swap, s[o], c[o]), sy * np.where(swap, c[o], s[o])
-    return rho[:, None] * c, rho[:, None] * s, rho[:, None]
-
-
-def _polar_fields(pert: PerturbedPotential | None, rho: np.ndarray, n_theta: int):
-    """(phi, D) on the grid of _polar from its n/8 + 1 octant columns: phi and
-    Laplacian(phi) are odd in x and in y and even under x <-> y, the base even."""
-    c, s, o, _, sx, sy = _octant(n_theta)  # the octant's columns are _polar's first n/8 + 1
-    return _phi_density(pert, rho[:, None] * c, rho[:, None] * s, rho[:, None], (o, sx * sy))
+def _octant_fields(pert: PerturbedPotential | None, rho: np.ndarray, n_theta: int):
+    """phi and D on the n/8 + 1 octant columns at radii rho, phi and
+    Laplacian(phi) times +1, then -1: (len(rho), 2(n/8 + 1)) arrays, cutoff
+    taken once per radius.  Column idx[j] holds angle 2 pi j/n of the whole
+    grid, cos and sin reflected from the octant: phi and Laplacian(phi) are
+    odd in x and in y and even under x <-> y, the base even under all three."""
+    c, s, o, _, sx, sy = _octant(n_theta)
+    col = rho[:, None, None]
+    phi, D = _phi_density(pert, col * c, col * s, col, np.array([[1.0], [-1.0]]))
+    idx = o + (n_theta // 8 + 1) * (sx * sy < 0)
+    return phi.reshape(len(rho), -1), D.reshape(len(rho), -1), idx
 
 
 def _correction_matrix(model: GramModel) -> np.ndarray:
     """C_ij = int z^i conj(z)^j (1+s)^{-m} [e^{m phi} D - D_0] dx dy over the
-    unit disc (basis z^k), on a polar tensor grid with FFT over the angle."""
+    unit disc (basis z^k), on a polar tensor grid with FFT over the angle.
+    D, e^{m phi} and the integrand are formed on the octant's columns for both
+    signs, and the integrand gathered once into the FFT's angle order."""
     m = model.m
     rho, wr = _radial_rule(model.n_r)
     nt = model.n_theta
-    phi, D = _polar_fields(model.pert, rho, nt)
+    phi, D, idx = _octant_fields(model.pert, rho, nt)  # idx takes every column
     if D.min() <= 0.0:  # no metric; a NaN passes on to _finite, a failed computation
         raise ValueError(f"area density not positive on the grid (minimum {D.min():.3e})")
     s = (rho * rho)[:, None]
-    W = (1.0 + s) ** (-m) * (np.exp(m * phi) * D - 1.0 / (math.pi * (1.0 + s) ** 2))
+    W = ((1.0 + s) ** (-m) * (np.exp(m * phi) * D - 1.0 / (math.pi * (1.0 + s) ** 2)))[:, idx]
     # angular transform: A[r, d] = int W e^{-i d theta} d theta; W is real, so
     # column d > nt/2 is the conjugate of column nt - d
     A = np.fft.rfft(W, axis=1) * (2.0 * math.pi / nt)
@@ -242,11 +240,11 @@ def rho_gram_field(model: GramModel, G: np.ndarray | None = None) -> KernelField
     c = np.stack([(a[:, :m + 1 - d] * a[:, d:]) @ np.diagonal(A, d) for d in range(m + 1)], axis=1)
     c[:, 0] = 0.5 * c[:, 0].real  # v* A v = 2 Re sum_{d >= 0} c_d e^{i d theta}, c_0 halved
     c = np.pad(c, ((0, 0), (0, -(m + 1) % n_theta))).reshape(n_lat, -1, n_theta).sum(axis=1)
-    phi, D = _polar_fields(model.pert, r, n_theta)
-    vals = 2.0 * n_theta * np.fft.ifft(c, axis=1).real * np.exp(m * phi)
+    phi, D, idx = _octant_fields(model.pert, r, n_theta)
+    vals = 2.0 * n_theta * np.fft.ifft(c, axis=1).real * np.exp(m * phi)[:, idx]
     vals = _finite(vals, "kernel field").ravel()
     # dx dy = r dr d theta = dt d theta / (1+t)^2
-    weights = (D * (wt / (1.0 + t) ** 2)[:, None] * (2.0 * math.pi / n_theta)).ravel()
+    weights = (D[:, idx] * (wt / (1.0 + t) ** 2)[:, None] * (2.0 * math.pi / n_theta)).ravel()
     flat_r = np.repeat(np.arccos(t) / math.sqrt(4.0 * math.pi), n_theta)  # area-1 sphere radius
     return KernelField(
         m=m, r=flat_r, u=np.zeros_like(flat_r), values=vals, weights=weights,

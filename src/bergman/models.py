@@ -124,7 +124,8 @@ def eval_f_k(k: int, r):
 
     Branches: (1/2k) sin(2kr) on [0, alpha_k); sqrt(2)/3k + (1/3) sin(r-alpha_k)
     on [alpha_k, alpha_k + pi/2); a stretched sine arc closing the far pole on
-    the rest.  C^1 across the junctions.
+    the rest.  C^1 across the junctions.  Each branch is evaluated on its own
+    points only; a scalar r gives a float.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -135,15 +136,21 @@ def eval_f_k(k: int, r):
         raise ValueError(f"r outside [0, {end}]")
     rr = np.clip(r_arr, 0.0, end)
     s2 = math.sqrt(2.0)
-    out = np.where(
-        rr < a,
-        np.sin(2 * k * rr) / (2 * k),
-        np.where(
-            rr < a + math.pi / 2,
-            s2 / (3 * k) + np.sin(rr - a) / 3.0,
-            (k + s2) / (3 * k) * np.sin(math.pi / 2 + 3 * k * (rr - a - math.pi / 2) / (k + s2)),
-        ),
-    )
+    arc = lambda x: math.pi / 2 + 3 * k * (x - a - math.pi / 2) / (k + s2)
+    return _by_piece(rr, np.searchsorted((a, a + math.pi / 2), rr, "right"), (
+        lambda x: np.sin(2 * k * x) / (2 * k),
+        lambda x: s2 / (3 * k) + np.sin(x - a) / 3.0,
+        lambda x: (k + s2) / (3 * k) * np.sin(arc(x))))
+
+
+def _by_piece(x: np.ndarray, piece: np.ndarray, fns):
+    """fns[i] on the points of x with piece == i, each on its own points only;
+    a 0-d x gives a float."""
+    out = np.empty_like(x)
+    for i, g in enumerate(fns):
+        sel = piece == i
+        if sel.any():
+            out[sel] = g(x[sel])
     return out if out.shape else float(out)
 
 
@@ -305,13 +312,8 @@ def _smoothed_fk_callable(k: int):
     def psi(r):
         x = np.asarray(r, dtype=float)
         # "right" puts x0, x2, x4 in the piece they open, "left" x1, x3 in the one they close
-        piece = np.searchsorted((x0, x2, x4), x, "right") + np.searchsorted((x1, x3), x, "left")
-        out = np.empty_like(x)
-        for i, g in enumerate(pieces):
-            sel = piece == i
-            if sel.any():
-                out[sel] = g(x[sel])
-        return out if out.shape else float(out)
+        return _by_piece(x, np.searchsorted((x0, x2, x4), x, "right")
+                         + np.searchsorted((x1, x3), x, "left"), pieces)
 
     return psi, (x0, x1, x2, x3, x4)
 

@@ -49,17 +49,23 @@ def _cumulative(f, half):
     interpolation points with one row per panel."""
     # the running sum in extended precision: its rounding would shift u by
     # about 1e-15 across the panels, and log N_k by 2k times that
-    start = np.r_[0.0, np.cumsum(half * (_W @ f), dtype=np.longdouble)[:-1]].astype(float)
+    start = np.zeros(half.size)
+    start[1:] = np.cumsum(half * (_W @ f), dtype=np.longdouble)[:-1]
     return start + half * (_SPECTRAL @ f), (start + half * (_INT_AT_CHEB @ f)).T
 
 
 def _interp(edges, v, r):
-    """The per-panel polynomials v (k, P, 33) at radii r, shape (k, N)."""
-    p = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
-    d = np.clip((2.0 * r - edges[p] - edges[p + 1]) / (edges[p + 1] - edges[p]), -1.0, 1.0)
-    d = d[:, None] - _CHEB
-    k = _BARY / np.where(d == 0.0, 1.0, d)
-    k = np.where((d == 0.0).any(axis=1, keepdims=True), d == 0.0, k)
+    """The per-panel polynomials v (k, P, 33) at radii r, shape (k, N), by the
+    barycentric formula; where r falls on an interpolation point, exactly its
+    stored value.  That lookup is formed only when some r falls on one."""
+    p = np.minimum(np.maximum(np.searchsorted(edges, r, side="right") - 1, 0), len(edges) - 2)
+    lo, hi = edges[p], edges[p + 1]
+    d = np.minimum(np.maximum((2.0 * r - lo - hi) / (hi - lo), -1.0), 1.0)[:, None] - _CHEB
+    hit = d == 0.0
+    if hit.any():
+        k = np.where(hit.any(axis=1, keepdims=True), hit, _BARY / np.where(hit, 1.0, d))
+    else:
+        k = np.divide(_BARY, d, out=d)
     return np.einsum("nj,knj->kn", k, v[:, p]) / k.sum(axis=1)
 
 
@@ -73,7 +79,7 @@ def _logs(r, q, slopes, a_L):
 def _median_radius(edges, v, r0):
     """Newton on a(r) = a(L)/2 from r0, 8 steps or until an iterate repeats."""
     for _ in range(8):
-        psi0, a0, _, _ = _interp(edges, v, r0)
+        psi0, a0 = _interp(edges, v[:2], r0)
         r0, last = r0 - (a0 - 0.5 * v[1, -1, 0]) / psi0, r0
         if r0[0] == last[0]:
             break
@@ -106,7 +112,9 @@ class PotentialTable:
     norm rule and the half-width rule; ``error`` is their largest difference
     in a, u and phi at the inner panel edges.  u is clipped to [u_min, u_max].
     ``grid(n)`` is (u, r, phi, psi) on n points evenly spaced in u over that
-    window, inverted once per table and n and kept read-only."""
+    window, inverted once per table and n and kept read-only.  ``locate``
+    carries psi and u through its Newton steps and takes a and phi once, at
+    the radii it accepts."""
 
     profile: RevolutionProfile = field(repr=False)
     d: int
@@ -128,9 +136,10 @@ class PotentialTable:
 
     def locate(self, u):
         """r, phi, psi and a where u takes the given values: Newton in
-        w = log(r/(L-r)) on the panel polynomials, du/dr = 1/psi, until every
-        |u(w) - u| <= 8e-16 (1 + |u| + |w|), or <= 1e-12 (1 + |u|) where a step
-        has stopped shrinking (rounding, at a neck where du/dw is large)."""
+        w = log(r/(L-r)) on the panel polynomials of psi and u, du/dr = 1/psi,
+        until every |u(w) - u| <= 8e-16 (1 + |u| + |w|), or <= 1e-12 (1 + |u|)
+        where a step has stopped shrinking (rounding, at a neck where du/dw is
+        large); a and phi are then interpolated once, at the accepted radii."""
         u = np.clip(np.asarray(u, dtype=float), self.u_min, self.u_max)
         flat, L = u.ravel(), self.profile.length
         r = _nodes(self._edges)[1].T.ravel()
@@ -138,13 +147,15 @@ class PotentialTable:
         step, floor = np.inf, False
         for _ in range(30):
             r, q = L / (1.0 + np.exp(-w)), L / (1.0 + np.exp(w))
-            u_w, phi, psi, a = self._state(r, q)
-            res, last = u_w - flat, step
+            psi, u_w = _interp(self._edges, self._v[0:3:2], r)
+            logs = _logs(r, q, self.profile.cone_slopes, self._v[1, -1, 0])
+            res, last = logs[0] + u_w - flat, step
             step = res * psi * L / (r * q)
             floor = floor | (np.abs(step) >= np.abs(last))
             near = floor & (np.abs(res) <= 1e-12 * (1.0 + np.abs(flat)))
             if not ((np.abs(res) > 8e-16 * (1.0 + np.abs(flat) + np.abs(w))) & ~near).any():
-                return [x.reshape(u.shape) for x in (r, phi, psi, a)]
+                a, phi = _interp(self._edges, self._v[1::2], r)
+                return [x.reshape(u.shape) for x in (r, logs[1] + phi, psi, a)]
             w = w - step
         raise ArithmeticError("u -> r inversion did not converge")
 
@@ -201,8 +212,9 @@ def build_potential(profile: RevolutionProfile) -> PotentialTable:
     grades = 0.5 * L * 0.5 ** np.arange(_GRADES)
     e = np.unique(np.concatenate([[0.0, L], grades, L - grades, profile.seams]))
     n = np.ceil(np.diff(e) / _PANEL).astype(int)
-    edges = np.append(np.concatenate(
-        [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(e[:-1], e[1:], n)]), L)
+    # edge j of an interval split in n is j * (width / n) + start, as in np.linspace
+    j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    edges = np.append(j * np.repeat(np.diff(e) / n, n) + np.repeat(e[:-1], n), L)
     halves = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
     r = [_nodes(x)[1] for x in (edges, halves)]
     psi = np.asarray(profile.psi(np.concatenate([x.ravel() for x in r])), dtype=float)

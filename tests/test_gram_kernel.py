@@ -3,11 +3,13 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.calculus.quadrature import GaussLegendre
 from scipy.integrate import quad
 from scipy.special import gammaln
 
@@ -48,6 +50,113 @@ def _quad(f, a, b, seams):
     """Adaptive quadrature split at the seams between a and b."""
     pts = [s for s in seams if min(a, b) < s < max(a, b)]
     return quad(f, a, b, points=pts or None, limit=400, epsabs=0.0, epsrel=2e-14)[0]
+
+
+def _polar(rho, n_theta):
+    """x, y on the grid rho x (n_theta equispaced angles), cos and sin
+    reflected from the first octant as gram._octant describes."""
+    c, s, o, swap, sx, sy = gram._octant(n_theta)
+    c, s = sx * np.where(swap, s[o], c[o]), sy * np.where(swap, c[o], s[o])
+    return rho[:, None] * c, rho[:, None] * s
+
+
+def _grid_fields(pert, rho, n_theta):
+    """phi and D of gram._octant_fields gathered onto the whole grid."""
+    phi, D, idx = gram._octant_fields(pert, rho, n_theta)
+    return phi[:, idx], D[:, idx]
+
+
+def _neck_profile():
+    """Area-1 profile whose psi dips to 0.018 at r = 1/2."""
+    base = lambda r: np.sin(np.pi * r) / np.pi - 0.3 * np.exp(-((r - 0.5) / 0.02) ** 2)
+    seams = tuple(0.40 + 0.02 * i for i in range(11))
+    return rescale_to_area(RevolutionProfile(1.0, lambda r: base(np.asarray(r)), 1,
+                                             (1.0, 1.0), "neck", seams), 1)
+
+
+def _profile_table(which):
+    if which == "neck":
+        return build_potential(_neck_profile())
+    if which == "round":
+        return build_potential(round_sphere())
+    return build_potential(rescale_to_area(make_cone_family({"cone10": 10, "cone1e5": 10**5}[which]), 1))
+
+
+def _interp_always_looked_up(edges, v, r):
+    """Barycentric interpolation that always forms the exact-hit lookup."""
+    p = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
+    d = np.clip((2.0 * r - edges[p] - edges[p + 1]) / (edges[p + 1] - edges[p]), -1.0, 1.0)
+    d = d[:, None] - potential._CHEB
+    k = potential._BARY / np.where(d == 0.0, 1.0, d)
+    k = np.where((d == 0.0).any(axis=1, keepdims=True), d == 0.0, k)
+    return np.einsum("nj,knj->kn", k, v[:, p]) / k.sum(axis=1)
+
+
+def _locate_all_fields(t, u):
+    """table.locate's Newton loop in w, all four fields taken at every step."""
+    u = np.clip(np.asarray(u, dtype=float), t.u_min, t.u_max)
+    flat, L = u.ravel(), t.profile.length
+    r = potential._nodes(t._edges)[1].T.ravel()
+    w = np.interp(flat, t.nodes[1], np.log(r / (L - r)))
+    step, floor = np.inf, False
+    for _ in range(30):
+        r, q = L / (1.0 + np.exp(-w)), L / (1.0 + np.exp(w))
+        u_w, phi, psi, a = t._state(r, q)
+        res, last = u_w - flat, step
+        step = res * psi * L / (r * q)
+        floor = floor | (np.abs(step) >= np.abs(last))
+        near = floor & (np.abs(res) <= 1e-12 * (1.0 + np.abs(flat)))
+        if not ((np.abs(res) > 8e-16 * (1.0 + np.abs(flat) + np.abs(w))) & ~near).any():
+            return [x.reshape(u.shape) for x in (r, phi, psi, a)]
+        w = w - step
+    raise ArithmeticError("did not converge")
+
+
+def _whole_grid_fields(pert, rho, n_theta):
+    """phi and D from _phi_density on every node of the whole polar grid,
+    in the form of gram._octant_fields: idx the identity."""
+    x, y = _polar(rho, n_theta)
+    return (*gram._phi_density(pert, x, y, rho[:, None]), np.arange(n_theta))
+
+
+def _gram_mpmath(m, k, n_theta):
+    """G_ij = delta_ij + s_i s_j int z^i conj(z)^j (1+|z|^2)^-m [e^{m phi} D - D_0]
+    over the unit disc, s_k^2 = (m+1)!/(k!(m-k)!), in 30-digit arithmetic:
+    phi = -k^-4 sin(2kx) sin(2ky) eta(rho), eta = 1 - S(2 rho - 1) on [1/2, 1]
+    with S(t) = t^3 (10 - 15t + 6t^2), and D = D_0 - Laplacian(phi)/(4 pi)."""
+    with mp.workdps(30):
+        pi, c = mp.pi, -mp.mpf(k) ** -4
+        gl = GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec)  # 24 nodes on [-1, 1]
+        theta = [2 * pi * j / n_theta for j in range(n_theta)]
+        trig = [([mp.cos(d * t) for t in theta], [-mp.sin(d * t) for t in theta]) for d in range(m + 1)]
+        M = [[mp.mpc(0)] * (m + 1) for _ in range(2 * m + 1)]  # M[i + j][j - i]
+        for lo in (mp.mpf(0), mp.mpf(0.5)):
+            for x0, w0 in gl:
+                rho, w = lo + (x0 + 1) / 4, w0 / 4
+                t = max(2 * rho - 1, 0)
+                eta = 1 - t ** 3 * (10 - 15 * t + 6 * t * t)
+                eta1 = -2 * 30 * t * t * (1 - t) ** 2  # d eta / d rho
+                eta2 = -4 * 60 * t * (1 - t) * (1 - 2 * t)
+                D0 = 1 / (pi * (1 + rho * rho) ** 2)
+                W = []
+                for x, y in ((rho * mp.cos(a), rho * mp.sin(a)) for a in theta):
+                    sx, cx, sy, cy = mp.sin(2 * k * x), mp.cos(2 * k * x), mp.sin(2 * k * y), mp.cos(2 * k * y)
+                    A = c * sx * sy  # Laplacian(A) = -8 k^2 A
+                    grad = 2 * k * c * (cx * sy * x + sx * cy * y) * eta1 / rho  # grad A . grad eta
+                    lap = -8 * k * k * A * eta + 2 * grad + A * (eta2 + eta1 / rho)
+                    W.append((1 + rho * rho) ** -m * (mp.exp(m * A * eta) * (D0 - lap / (4 * pi)) - D0))
+                h = w * rho * 2 * pi / n_theta
+                for d, (cos_d, sin_d) in enumerate(trig):
+                    a_d = mp.mpc(mp.fdot(W, cos_d), mp.fdot(W, sin_d)) * h
+                    for p in range(2 * m + 1):
+                        M[p][d] += rho ** p * a_d
+        s = [mp.sqrt(mp.factorial(m + 1) / (mp.factorial(i) * mp.factorial(m - i))) for i in range(m + 1)]
+        G = np.eye(m + 1, dtype=complex)
+        for i in range(m + 1):
+            for j in range(m + 1):
+                v = M[i + j][abs(j - i)]
+                G[i, j] += complex(s[i] * s[j] * (v if j >= i else mp.conj(v)))
+        return G
 
 
 def _nested_state(prof, r0, radii):
@@ -189,10 +298,7 @@ class TestPotential:
     def test_neck_profile_inverts(self):
         # psi dips to 0.018 at a neck: du/dr = 1/psi is large there, and the
         # Newton steps in w stall at their rounding floor above the 8e-16 test
-        base = lambda r: np.sin(np.pi * r) / np.pi - 0.3 * np.exp(-((r - 0.5) / 0.02) ** 2)
-        seams = tuple(0.40 + 0.02 * i for i in range(11))
-        prof = rescale_to_area(RevolutionProfile(1.0, lambda r: base(np.asarray(r)), 1,
-                                                 (1.0, 1.0), "neck", seams), 1)
+        prof = _neck_profile()
         table = build_potential(prof)
         assert table.error < 1e-12
         for n in (512, 1024, 4096):
@@ -200,6 +306,53 @@ class TestPotential:
             assert np.all(np.abs(table.u_of_r(table.r_of_u(u)) - u) <= 1e-12 * (1.0 + np.abs(u)))
         fld = rho_revolution(prof, 10, table=table)
         assert abs(fld.integral - 11.0) < 1e-12
+
+    @pytest.mark.parametrize("which", ["round", "cone10", "cone1e5"])
+    def test_interp_exact_at_edges_and_nodes(self, which):
+        # at a panel edge, and at a radius whose panel coordinate is exactly an
+        # interpolation point, the stored values come back as they are
+        t = _profile_table(which)
+        edges, v = t._edges, t._v
+        got = potential._interp(edges, v, edges)
+        assert got.tobytes() == np.concatenate([v[:, :, -1], v[:, -1:, 0]], axis=1).tobytes()
+        # radii within 8 ulps of each inner interpolation point of every panel
+        lo, hi, cheb = edges[:-1, None, None], edges[1:, None, None], potential._CHEB[1:32, None]
+        r0 = lo + 0.5 * (hi - lo) * (1.0 + cheb)
+        r = r0 + np.arange(-8, 9) * np.spacing(r0)
+        hit = ((2.0 * r - lo - hi) / (hi - lo) == cheb) & (lo <= r) & (r < hi)
+        p, j, _ = np.nonzero(hit)
+        assert len(np.unique(p * 33 + j)) >= 20  # distinct (panel, point) pairs
+        got = potential._interp(edges, v, r[hit])
+        assert got.tobytes() == v[:, p, j + 1].tobytes()
+
+    @pytest.mark.parametrize("which", ["round", "cone10", "cone1e5", "neck"])
+    def test_interp_matches_previous_form(self, which):
+        # the exact-hit lookup taken only when needed, bit for bit the form
+        # that always took it; radii off the table and on its edges included
+        t = _profile_table(which)
+        L = t.profile.length
+        r = np.concatenate([np.random.default_rng(3).uniform(-0.01 * L, 1.01 * L, 4000),
+                            t._edges, [0.0, L, np.nextafter(L, 0.0)]])
+        got = potential._interp(t._edges, t._v, r)
+        assert got.tobytes() == _interp_always_looked_up(t._edges, t._v, r).tobytes()
+
+    @pytest.mark.parametrize("which", ["round", "cone10", "cone1e5", "neck"])
+    def test_locate_fields_at_returned_radii(self, which):
+        # Newton carries psi and u only; a and phi, taken once at the accepted
+        # radii, equal the loop that took all four fields at every step
+        t = _profile_table(which)
+        rng = np.random.default_rng(7)
+        u = rng.uniform(t.u_min - 1.0, t.u_max + 1.0, 999)
+        if which == "neck":
+            u = np.linspace(-5.0, 5.0, 1000)
+        got = t.locate(u)
+        for a, b in zip(got, _locate_all_fields(t, u)):
+            assert a.tobytes() == b.tobytes()
+        r = got[0]
+        _, phi, psi, a = t._state(r, t.profile.length - r)
+        assert got[2].tobytes() == psi.tobytes() and got[3].tobytes() == a.tobytes()
+        inner = np.abs(u) <= 5.0  # off the poles, where L - r loses the digits of q
+        assert np.all(np.abs(got[1] - phi)[inner] <= 1e-14 * (1.0 + np.abs(phi[inner])))
 
     def test_nonpositive_psi_refused(self):
         # area 1, seams at the edges of a bump of height 0.5 that takes psi
@@ -426,7 +579,7 @@ class TestGram:
         nt = model.n_theta
         s = rho * rho
         base = 1.0 / (math.pi * (1.0 + s) ** 2)
-        phi, D = gram._polar_fields(pert, rho, nt)
+        phi, D = _grid_fields(pert, rho, nt)
         W = (1.0 + s[:, None]) ** (-m) * (np.exp(m * phi) * D - base[:, None])
         A = np.fft.fft(W, axis=1) * (2.0 * math.pi / nt)
         C = gram._correction_matrix(model)
@@ -448,7 +601,7 @@ class TestGram:
         rho, wr = gram._radial_rule(model.n_r)
         nt = model.n_theta
         s = (rho * rho)[:, None]
-        phi, D = gram._polar_fields(pert, rho, nt)
+        phi, D = _grid_fields(pert, rho, nt)
         W = (1.0 + s) ** (-m) * (np.exp(m * phi) * D - 1.0 / (math.pi * (1.0 + s) ** 2))
         h = 2.0 * math.pi / nt
         P = wr[:, None] * rho[:, None] ** np.arange(2 * m + 1)
@@ -471,8 +624,8 @@ class TestGram:
         xg, _ = np.polynomial.legendre.leggauss(160)
         t = np.linspace(-0.999, 0.999, 96)
         for rho, nt in ((0.5 * (xg + 1.0), 512), (np.sqrt((1.0 - t) / (1.0 + t)), 128)):
-            X, Y, _ = gram._polar(rho, nt)
-            phi, D = gram._polar_fields(pert, rho, nt)
+            X, Y = _polar(rho, nt)
+            phi, D = _grid_fields(pert, rho, nt)
             assert np.max(np.abs(phi - pert.phi(X + 1j * Y))) <= 1e-14 * k ** -4.0
             assert np.max(np.abs(D / perturbed_area_density(pert, X, Y) - 1.0)) <= 1e-15
 
@@ -485,7 +638,7 @@ class TestGram:
             G = gram_matrix(model)
             assert rho_gram(G, model, 0.0) > 0.0
             assert math.isfinite(perturbed_scalar_curvature(pert, 0.0, 0.0))
-            phi, D = gram._polar_fields(pert, np.array([0.0, 0.5, 1.0]), 8)
+            phi, D = _grid_fields(pert, np.array([0.0, 0.5, 1.0]), 8)
             assert np.all(phi[0] == 0.0) and np.all(np.isfinite(D))
 
     @pytest.mark.parametrize("n_theta", [8, 64, 128, 512, 1024])
@@ -497,14 +650,52 @@ class TestGram:
         pert = PerturbedPotential(k)
         t = np.linspace(-0.999, 0.999, 96)
         rho = np.r_[0.0, gram._radial_rule(40)[0], 1.0, np.sqrt((1.0 - t) / (1.0 + t))]
-        x, y, _ = gram._polar(rho, n_theta)
+        x, y = _polar(rho, n_theta)
         theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
         scale = np.maximum(rho, 1.0)[:, None]
         assert np.max(np.abs(x - rho[:, None] * np.cos(theta)) / scale) <= 1e-15
         assert np.max(np.abs(y - rho[:, None] * np.sin(theta)) / scale) <= 1e-15
-        for got, want in zip(gram._polar_fields(pert, rho, n_theta),
+        for got, want in zip(_grid_fields(pert, rho, n_theta),
                              gram._phi_density(pert, x, y, rho[:, None])):
             assert got.tobytes() == want.tobytes()
+        # both signs of every octant column occur: j = o gives +1, j = n/2 - o gives -1
+        idx = gram._octant_fields(pert, rho, n_theta)[2]
+        assert np.array_equal(np.unique(idx), np.arange(2 * (n_theta // 8 + 1)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_octant_integrand_equals_whole_grid(self, k, monkeypatch):
+        # the correction's integrand and the field's weight and density,
+        # formed on the octant's columns for both signs and gathered once,
+        # against phi and D evaluated on every node of the whole grid: equal
+        # bit for bit, and the same refusal with the same minimum
+        def outcome(m):
+            model = GramModel(m, PerturbedPotential(k))
+            f = rho_gram_field(model, np.eye(m + 1, dtype=complex))
+            try:
+                C = gram._correction_matrix(model)
+            except ValueError as e:
+                C = str(e)
+            return C, f.values, f.weights
+
+        ms = (1, 8, 40, 300)
+        got = [outcome(m) for m in ms]
+        monkeypatch.setattr(gram, "_octant_fields", _whole_grid_fields)
+        for (C, vals, w), (C_ref, vals_ref, w_ref) in zip(got, map(outcome, ms)):
+            assert type(C) is type(C_ref)
+            assert C == C_ref if isinstance(C, str) else C.tobytes() == C_ref.tobytes()
+            assert vals.tobytes() == vals_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+        assert isinstance(got[0][0], str) == (k == 1 or k == 2)  # D < 0 somewhere for k <= 2
+
+    def test_gram_entries_match_mpmath(self):
+        # every entry of G at m = 8, k = 6 against the same integral in
+        # 30-digit arithmetic: 24 Gauss-Legendre nodes in rho on [0, 1/2] and
+        # on [1/2, 1], the trapezoid rule on 128 angles, with phi, its
+        # Laplacian and the cutoff written out here from their definitions
+        m, k = 8, 6
+        G = gram_matrix(GramModel(m, PerturbedPotential(k)))
+        want = _gram_mpmath(m, k, n_theta=128)
+        scale = np.sqrt(np.outer(G.diagonal().real, G.diagonal().real))
+        assert np.all(np.abs(G - want) <= 1e-13 * scale)
 
     def test_n_theta_multiple_of_8(self):
         with pytest.raises(ValueError, match="multiple of 8"):

@@ -102,6 +102,31 @@ class TestFk:
         h = 1e-8
         assert abs(eval_f_k(7, h) / h - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("k", [1, 3, 10, 10**5])
+    def test_branches_on_their_own_points(self, k):
+        # each branch evaluated on its own points, bit for bit the form that
+        # evaluated all three everywhere and picked one; alpha_k and
+        # alpha_k + pi/2 open the branch they start
+        a, end = f_k_alpha(k), f_k_domain_end(k)
+        s2 = math.sqrt(2.0)
+
+        def all_branches(r):
+            return np.where(r < a, np.sin(2 * k * r) / (2 * k), np.where(
+                r < a + math.pi / 2, s2 / (3 * k) + np.sin(r - a) / 3.0,
+                (k + s2) / (3 * k) * np.sin(math.pi / 2 + 3 * k * (r - a - math.pi / 2) / (k + s2))))
+
+        marks = [0.0, a, a + math.pi / 2, end]
+        r = np.concatenate([marks, np.nextafter(marks, 1.0), np.nextafter(marks, -1.0)[1:],
+                            np.random.default_rng(k).uniform(0.0, end, 3000)])
+        r = r[r <= end]
+        assert eval_f_k(k, r).tobytes() == all_branches(r).tobytes()
+        for x in marks:
+            assert type(eval_f_k(k, x)) is float
+            assert eval_f_k(k, x) == float(all_branches(np.float64(x)))
+        assert eval_f_k(k, 0.0) == 0.0 and eval_f_k(k, a) == s2 / (3 * k)
+        assert eval_f_k(k, a + math.pi / 2) == (k + s2) / (3 * k)
+        assert abs(eval_f_k(k, end)) < 1e-12
+
     def test_out_of_domain_rejected(self):
         with pytest.raises(ValueError):
             eval_f_k(3, f_k_domain_end(3) + 0.1)
