@@ -5,6 +5,7 @@ sum over invariant monomials with a rigorous Poisson tail bound
 q P(N > cap), N ~ Poisson(pi |z|^2).  The second exists purely to check the
 first.  The character sum is taken in real arithmetic over the half j <= q/2
 of its conjugate pairs (j, q-j); only its imaginary residue reads the rest.
+On a ray z = t sqrt(r) it depends on t^2 alone, which ray minimization uses.
 """
 
 from __future__ import annotations
@@ -99,12 +100,8 @@ def rho_closed(w: CyclicWeights, z):
     return _closed_form(w, z, residue=False)[0]
 
 
-def admissible_indices(w: CyclicWeights, degree_cap: int) -> list[tuple[int, ...]]:
-    """Multi-indices j with |j| <= cap and sum_l j_l p_l / q_l integral,
-    in graded lexicographic order.
-
-    All comb(cap + n, n) indices with |j| <= cap are built as one array, so
-    more than MAX_ORACLE_CANDIDATES of them raise ValueError."""
+def _admissible(w: CyclicWeights, degree_cap: int) -> np.ndarray:
+    """The rows of admissible_indices as one (count, n) int64 array."""
     if degree_cap < 0:
         raise ValueError("degree_cap must be >= 0")
     candidates = math.comb(degree_cap + w.n, w.n)
@@ -119,8 +116,16 @@ def admissible_indices(w: CyclicWeights, degree_cap: int) -> list[tuple[int, ...
         rows = np.repeat(np.arange(len(j)), room)
         j = np.column_stack((j[rows], np.arange(rows.size) - (np.cumsum(room) - room)[rows]))
     j = j[j @ weights % q == 0]  # lexicographic order so far
-    j = j[np.argsort(j.sum(axis=1), kind="stable")]
-    return list(map(tuple, j.tolist()))
+    return j[np.argsort(j.sum(axis=1), kind="stable")]
+
+
+def admissible_indices(w: CyclicWeights, degree_cap: int) -> list[tuple[int, ...]]:
+    """Multi-indices j with |j| <= cap and sum_l j_l p_l / q_l integral,
+    in graded lexicographic order.
+
+    All comb(cap + n, n) indices with |j| <= cap are built as one array, so
+    more than MAX_ORACLE_CANDIDATES of them raise ValueError."""
+    return list(map(tuple, _admissible(w, degree_cap).tolist()))
 
 
 def _log_poisson_tails(lam: float, caps: int) -> np.ndarray:
@@ -153,11 +158,14 @@ def degree_cap_for(w: CyclicWeights, z, tol: float) -> int:
     """
     z = _check_point(w, z)
     lam = math.pi * float(np.sum(np.abs(z) ** 2))
-    hit = np.flatnonzero(w.q * np.exp(_log_poisson_tails(lam, 2000)[1:]) <= tol)
-    if not hit.size:
+    for caps in (64, 2000):  # most caps are below 64; the short range saves the long one
+        hit = np.flatnonzero(w.q * np.exp(_log_poisson_tails(lam, caps)[1:]) <= tol)
+        if hit.size:
+            break
+    else:
         raise ValueError("tail bound does not reach tolerance at a sane cap")
     cap = int(hit[0]) + 1
-    count = len(admissible_indices(w, cap))
+    count = len(_admissible(w, cap))
     if count > MAX_ORACLE_INDICES:
         raise ValueError(f"oracle would need {count} > {MAX_ORACLE_INDICES} indices")
     return cap
@@ -180,19 +188,18 @@ def rho_oracle(w: CyclicWeights, z, degree_cap: int) -> OracleResult:
     z = _check_point(w, z)
     s = np.abs(z) ** 2
     lam = math.pi * float(np.sum(s))
-    idx = admissible_indices(w, degree_cap)
-    if len(idx) > MAX_ORACLE_INDICES:
-        raise ValueError(f"{len(idx)} indices exceed the {MAX_ORACLE_INDICES} cap")
+    j = _admissible(w, degree_cap)
+    if len(j) > MAX_ORACLE_INDICES:
+        raise ValueError(f"{len(j)} indices exceed the {MAX_ORACLE_INDICES} cap")
     with np.errstate(divide="ignore"):
         log_pi_s = math.log(math.pi) + np.log(s)
-    j = np.array(idx, dtype=np.int64).reshape(-1, w.n)
     lt = np.multiply(j, log_pi_s, out=np.zeros(j.shape), where=j > 0).sum(axis=1)
     live = np.isfinite(lt)  # z_l = 0 with j_l > 0: term vanishes
     logs = lt[live] - np.sum(log_factorials(degree_cap)[j[live]], axis=1)
     value = w.q * math.exp(logsumexp(logs) - lam) if logs.size else 0.0
     tail = w.q * math.exp(_log_poisson_tails(lam, degree_cap)[-1])
     return OracleResult(value=float(value), tail_bound=tail,
-                        degree_cap=degree_cap, n_indices=len(idx))
+                        degree_cap=degree_cap, n_indices=len(j))
 
 
 def _brent_min(f, a: float, b: float, xatol: float):
@@ -234,11 +241,31 @@ def _brent_min(f, a: float, b: float, xatol: float):
     return x, fx
 
 
+def _ray(w: CyclicWeights, r: np.ndarray):
+    """f(x) = rho(sqrt(x r)), x = t^2, on the ray z = t sqrt(r): the closed form's
+    rows j <= q/2 as sum_j c_j e^{x alpha_j} cos(x beta_j), alpha_j = pi sum_l
+    r_l (cos theta_lj - 1) and beta_j = pi sum_l r_l sin theta_lj formed once, c = 2
+    but for rows 0 and q/2; row 0 is exactly 1.  f takes a float, or a 1-D array
+    in blocks of at most _BLOCK_TERMS terms, each value the float's bit for bit."""
+    e = w.characters[:w.q // 2 + 1]
+    alpha, beta = np.pi * ((e.real - 1.0) @ r), np.pi * (e.imag @ r)
+    j = np.arange(len(e))
+    c = np.where((j == 0) | (2 * j == w.q), 1.0, 2.0)
+    block = max(1, _BLOCK_TERMS // len(e))
+
+    def f(x):
+        if np.ndim(x) == 1:  # as columns, block by block
+            return np.concatenate([f(x[i:i + block, None]) for i in range(0, len(x), block)])
+        return np.sum(np.exp(x * alpha) * np.cos(x * beta) * c, axis=-1)
+    return f
+
+
 def min_on_ray(w: CyclicWeights, direction, t_max: float, nodes: int = 512) -> tuple[float, float]:
     """Scan t -> rho(t*sqrt(r)) on (0, t_max] and refine the best node.
 
-    Returns (t*, rho*).  The refinement is Brent's bounded search between the
-    best node's neighbours, with |dt| tolerance 1e-8.
+    Returns (t*, rho*), rho* = rho_closed at t* sqrt(r).  The scan and the
+    refinement, Brent's bounded search between the best node's neighbours
+    with |dt| tolerance 1e-8, evaluate the ray's own character sum _ray.
     """
     r = np.asarray(direction, dtype=float)
     if r.shape != (w.n,) or not np.all(np.isfinite(r)) or np.any(r < 0) or not np.any(r > 0):
@@ -247,15 +274,13 @@ def min_on_ray(w: CyclicWeights, direction, t_max: float, nodes: int = 512) -> t
         raise ValueError("t_max must be positive and finite")
     if nodes < 1:
         raise ValueError("nodes must be >= 1")
-    sq = np.sqrt(r)
+    f = _ray(w, r)
     ts = np.linspace(t_max / nodes, t_max, nodes)
-    vals = rho_closed(w, ts[:, None] * sq)
+    vals = f(ts * ts)
     i = int(np.argmin(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, nodes - 1)]
-    if lo == hi:
-        return float(ts[i]), float(vals[i])
-    t_best, v_best = _brent_min(lambda t: rho_closed(w, t * sq), float(lo), float(hi), 1e-8)
-    if vals[i] < v_best:
-        t_best, v_best = float(ts[i]), float(vals[i])
-    return t_best, v_best
+    lo, hi = float(ts[max(i - 1, 0)]), float(ts[min(i + 1, nodes - 1)])
+    t_best = float(ts[i])
+    if lo < hi:
+        t, v = _brent_min(lambda t: float(f(t * t)), lo, hi, 1e-8)
+        t_best = t if v <= vals[i] else t_best
+    return t_best, rho_closed(w, t_best * np.sqrt(r))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import MAX_CHARACTERS, CyclicWeights
-from .orbifold import min_on_ray, rho_closed
+from .orbifold import _ray, min_on_ray, rho_closed
 
 __all__ = [
     "ResonanceCertificate",
@@ -112,7 +112,7 @@ def _direction_search(w: CyclicWeights) -> ResonanceCertificate:
             cert = _certify(w, R[c].astype(float), int(min(k[c] + 1, q - k[c] - 1)))
             if cert is not None:
                 return cert
-    raise RuntimeError(f"no certificate for weights {w.pairs} among the first "
+    raise RuntimeError(f"no certificate for Z_{q} on C^{n} among the first "
                        f"{MAX_SEARCH_DIRECTIONS} integer ray directions")
 
 
@@ -137,8 +137,10 @@ def find_subunity_point(w: CyclicWeights, cert: ResonanceCertificate,
 
     The closed form carries pi inside the exponent, so the oscillatory phase
     at t is pi t^2 sin_sum; this choice of t_k lands it on (2k+1) pi where the
-    dominant character contributes -1.  If no phase works, min_on_ray's dense
-    ray scan with Brent refinement is tried as fallback (k = -1).
+    dominant character contributes -1.  The phases are tried in order with the
+    ray's own character sum, and the first whose rho_closed is below 1 is the
+    witness; if none is, min_on_ray's dense ray scan with Brent refinement is
+    tried as fallback (k = -1).  The witness's rho is rho_closed at its point.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -147,14 +149,16 @@ def find_subunity_point(w: CyclicWeights, cert: ResonanceCertificate,
         raise ValueError("certificate sine sum too small")
     sq = np.sqrt(r)
     ts = np.sqrt((2.0 * np.arange(k_max + 1) + 1.0) / abs(cert.sin_sum))
-    rhos = rho_closed(w, ts[:, None] * sq)
-    below = np.flatnonzero(rhos < 1.0)
-    if not below.size:
-        # fallback: global scan of the ray up to the largest phase tried
-        t_star, rho_star = min_on_ray(w, r, float(ts[-1]), nodes=2048)
-        if rho_star < 1.0:
-            return SubUnityWitness(z=tuple(map(complex, t_star * sq)), rho=rho_star, k=-1,
-                                   t=t_star, found=True)
-    k = int(below[0]) if below.size else int(np.argmin(rhos))
-    return SubUnityWitness(z=tuple(map(complex, ts[k] * sq)), rho=float(rhos[k]), k=k,
-                           t=float(ts[k]), found=bool(below.size))
+    f = _ray(w, r)
+
+    def witness(t, k: int, rho: float) -> SubUnityWitness:
+        return SubUnityWitness(tuple(map(complex, t * sq)), rho, k, float(t), rho < 1.0)
+    for k, t in enumerate(ts.tolist()):  # the first phase rho_closed confirms
+        if f(t * t) < 1.0 and (rho := rho_closed(w, t * sq)) < 1.0:
+            return witness(t, k, rho)
+    # fallback: global scan of the ray up to the largest phase tried
+    t_star, rho_star = min_on_ray(w, r, float(ts[-1]), nodes=2048)
+    if rho_star < 1.0:
+        return witness(t_star, -1, rho_star)
+    k = int(np.argmin(f(ts * ts)))
+    return witness(ts[k], k, rho_closed(w, ts[k] * sq))

@@ -170,6 +170,15 @@ class TestExitCodes:
         assert "no certificate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_certificate_message_names_n_q_and_cap(self, tmp_path, monkeypatch, capsys):
+        # on C^1000 the message names the system's size, not its 1000 pairs
+        monkeypatch.setattr(resonance, "MAX_SEARCH_DIRECTIONS", 16)
+        weights = ",".join(["1/2"] * 999 + ["1/3"])
+        assert run(["resonance", "--weights", weights, "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "no certificate for Z_6 on C^1000 among the first 16 " in err
+        assert len(err.encode()) < 200
+
     def test_no_command_is_2(self, capsys):
         assert run([]) == 2
         capsys.readouterr()

@@ -302,6 +302,68 @@ class TestRayMinimum:
             min_on_ray(w, [1.0, 1.0], 0.0)
 
 
+class TestRayFunction:
+    """orbifold._ray, the closed form on one ray as a function of x = t^2,
+    which min_on_ray and find_subunity_point scan and refine with."""
+
+    FOUND = [(2, 5), (101, 210), (43, 90), (3, 20)]  # witness from the fallback scan
+
+    def _scanned(self, w):
+        """The certificate ray and the nodes evaluated on it: the phases up to
+        the witness's (all of them and the 2048-node fallback when k = -1) and
+        the benchmark's 192-node scan to 1.5 times the witness radius."""
+        from bergman.resonance import construct_certificate, find_subunity_point
+
+        cert = construct_certificate(w)
+        wit = find_subunity_point(w, cert)
+        phases = np.sqrt((2.0 * np.arange(51) + 1.0) / abs(cert.sin_sum))
+        nodes = [phases[:wit.k + 1] if wit.k >= 0 else phases,
+                 np.linspace(1.5 * wit.t / 192, 1.5 * wit.t, 192)]
+        if wit.k < 0:
+            nodes.append(np.linspace(phases[-1] / 2048, phases[-1], 2048))
+        return np.array(cert.r), np.concatenate(nodes)
+
+    def test_matches_closed_form_at_scanned_nodes(self):
+        systems = [w for seed in (1, 2, 3) for w in _benchmark_systems(seed)]
+        for w in systems + [make_cyclic_weights(self.FOUND)]:
+            r, ts = self._scanned(w)
+            f = orbifold._ray(w, r)
+            closed = rho_closed(w, ts[:, None] * np.sqrt(r))
+            assert np.max(np.abs(f(ts * ts) - closed)) <= w.q * 1e-15, w.pairs
+            assert abs(f(ts[0] ** 2) - closed[0]) <= w.q * 1e-15, w.pairs
+            assert f(0.0) == w.q  # row 0 is exactly 1, every row 1 at the origin
+
+    def test_blocks_match_single_points(self):
+        # q = 360 holds 362 nodes in a block; 2048 nodes take six
+        w = make_cyclic_weights([(1, 8), (2, 45)])
+        f = orbifold._ray(w, np.array([1.0, 0.5]))
+        x = np.linspace(0.0, 40.0, 2048)
+        assert np.all(f(x) == [f(v) for v in x.tolist()])
+
+    def test_returned_values_are_rho_closed(self):
+        from bergman.resonance import construct_certificate, find_subunity_point
+
+        for w in _benchmark_systems(1) + [make_cyclic_weights(self.FOUND)]:
+            cert = construct_certificate(w)
+            wit = find_subunity_point(w, cert)
+            assert wit.found and wit.rho < 1.0 and wit.rho == rho_closed(w, np.array(wit.z))
+            t, rho = min_on_ray(w, cert.r, 1.5 * wit.t, nodes=192)
+            assert type(t) is float and type(rho) is float
+            assert rho == rho_closed(w, t * np.sqrt(cert.r)), w.pairs
+
+    @pytest.mark.parametrize("pairs, direction, t_max, nodes", [
+        ([(1, 3)], [1.0], 3.0, 512),
+        ([(1, 8), (2, 45)], [1.0, 2.0], 4.0, 2048),
+        ([(1, 3)], [1.0], 3.0, 1),
+    ])
+    def test_min_on_ray_calls_rho_closed_once(self, pairs, direction, t_max, nodes, monkeypatch):
+        calls = []
+        closed = orbifold.rho_closed
+        monkeypatch.setattr(orbifold, "rho_closed", lambda w, z: calls.append(z) or closed(w, z))
+        t, rho = min_on_ray(make_cyclic_weights(pairs), direction, t_max, nodes)
+        assert len(calls) == 1 and np.all(calls[0] == t * np.sqrt(direction))
+
+
 class TestRandomizedProperties:
     SEED = 20240824
 

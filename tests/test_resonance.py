@@ -112,6 +112,21 @@ class TestSubUnity:
         assert wit.found and wit.k == -1 and wit.rho < 1.0
         assert wit.rho == rho_closed(w, np.array(wit.z))
 
+    def test_phase_confirmed_by_rho_closed(self, monkeypatch):
+        # a ray sum that reads every phase as below 1: the witness is still
+        # the first phase whose rho_closed is below 1, with that value
+        w = make_cyclic_weights([(1, 4), (1, 3)])
+        cert = construct_certificate(w)
+        ts = np.sqrt((2.0 * np.arange(51) + 1.0) / abs(cert.sin_sum))
+        rhos = rho_closed(w, ts[:, None] * np.sqrt(cert.r))
+        monkeypatch.setattr(resonance, "_ray", lambda w, r: lambda x: np.zeros(np.shape(x)))
+        monkeypatch.setattr(resonance, "rho_closed",
+                            lambda w, z: 1.0 if np.all(z == ts[0] * np.sqrt(cert.r)) else
+                            rho_closed(w, z))
+        wit = find_subunity_point(w, cert)
+        k = int(np.flatnonzero(rhos[1:] < 1.0)[0]) + 1
+        assert wit.found and wit.k == k and wit.rho == rhos[k] < 1.0
+
     def test_kmax_validation(self):
         w = make_cyclic_weights([(1, 3)])
         cert = construct_certificate(w)
