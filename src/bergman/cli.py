@@ -102,9 +102,15 @@ def _profile_from_params(name: str, d: int, k: int | None):
 # None).  run writes the artifact; a failed computation raises.
 # --------------------------------------------------------------------------
 
-def _revolution_health(residual, table, tail_bound) -> str:
-    return (f"health: residual={residual!r} table_error={table.error!r} "
-            f"tail_bound={tail_bound!r}")
+def _revolution(p, m_list, **kw):
+    """rho_revolution's fields at each m of m_list on p's profile, one table for all, and
+    their health line: the residual largest in size, table error, largest tail bound."""
+    prof = _profile_from_params(p["profile"], p["d"], p["k"])
+    table = build_potential(prof)
+    fields = [rho_revolution(prof, m, table=table, **kw) for m in m_list]
+    resid = max((f.integral - (m * prof.d + 1) for f, m in zip(fields, m_list)), key=abs)
+    return fields, (f"health: residual={resid!r} table_error={table.error!r} "
+                    f"tail_bound={max(f.tail_bound for f in fields)!r}")
 
 
 def _cmd_orbifold_eval(p):
@@ -157,13 +163,10 @@ def _cmd_subunity(p):
 
 
 def _cmd_revolution(p):
-    d, m = p["d"], p["m"]
-    prof = _profile_from_params(p["profile"], d, p["k"])
-    table = build_potential(prof)
-    fld = rho_revolution(prof, m, table=table, n_samples=p["grid"])
+    m = p["m"]
+    (fld,), health = _revolution(p, [m], n_samples=p["grid"])
     lines = [f"inf={fld.inf!r} sup={fld.sup!r} argmin_r={fld.argmin_r!r} "
-             f"integral={fld.integral!r}",
-             _revolution_health(fld.integral - (m * d + 1), table, fld.tail_bound)]
+             f"integral={fld.integral!r}", health]
     rows = ["r,rho"] + [f"{float(r)!r},{float(v)!r}" for r, v in zip(fld.r, fld.values)]
     return lines, rows, (f"rho_{m}: inf={fld.inf:.9f} sup={fld.sup:.9f} "
                          f"integral={fld.integral:.9f}")
@@ -220,25 +223,16 @@ def _cmd_lp(p):
         health = (f"health: scaled_cond={_scaled_cond(G)!r} "
                   f"residual={fld.integral - (m + 1)!r}")
     else:
-        prof = _profile_from_params(p["profile"], p["d"], p["k"])
-        table = build_potential(prof)
-        fld = rho_revolution(prof, m, table=table)
-        health = _revolution_health(fld.integral - (m * prof.d + 1), table, fld.tail_bound)
+        (fld,), health = _revolution(p, [m])
     dev = lp_deviation(fld, pexp)
     return [health], ["p,deviation", f"{pexp},{dev!r}"], f"L^{pexp} deviation = {dev:.9e}"
 
 
 def _cmd_fscurrent(p):
     m_list = _parse_list(p, "m_list", int)
-    prof = _profile_from_params(p["profile"], p["d"], p["k"])
-    table = build_potential(prof)
-    rows, resid, tail = ["m,sup_log_rho_over_m"], 0.0, 0.0
-    for m in m_list:
-        fld = rho_revolution(prof, m, table=table)
-        rows.append(f"{m},{fs_current_sup(fld)!r}")
-        resid = max(resid, fld.integral - (m * prof.d + 1), key=abs)
-        tail = max(tail, fld.tail_bound)
-    return [_revolution_health(resid, table, tail)], rows, None
+    fields, health = _revolution(p, m_list)
+    rows = ["m,sup_log_rho_over_m"] + [f"{m},{fs_current_sup(f)!r}" for m, f in zip(m_list, fields)]
+    return [health], rows, None
 
 
 def _cmd_cone_sweep(p):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,10 +206,12 @@ def _log_frame(m: int, r: np.ndarray) -> np.ndarray:
 def rho_gram(G: np.ndarray, model: GramModel, z):
     """Bergman kernel v* G^{-1} v (1+|z|^2)^{-m} e^{m phi(z)}, v = (e_k(z)) and
     G = gram_matrix(model), at affine-chart points: |L^{-1} v|^2 e^{m phi}, L the
-    Cholesky factor of G, the weight's root folded into v.  One point gives a
-    float, an array of points an array of the same shape."""
+    Cholesky factor of G, the weight's root folded into v.  One point gives a float,
+    an array of points an array of the same shape; |z| > sqrt(max float) is refused."""
     m = model.m
     zs = np.asarray(z, dtype=complex).ravel()
+    if not np.abs(zs).max(initial=0.0) <= math.sqrt(sys.float_info.max):
+        raise ValueError("point must be finite, with |z| at most sqrt(max float)")
     V = np.exp(_log_frame(m, np.abs(zs)) + 1j * np.angle(zs)[:, None] * np.arange(m + 1))
     W = _inverse_factor(G) @ V.T
     phi = 0.0 if model.pert is None else np.asarray(model.pert.phi(zs), dtype=float)

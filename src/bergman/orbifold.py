@@ -5,7 +5,7 @@ sum over invariant monomials with a rigorous Poisson tail bound
 q P(N > cap), N ~ Poisson(pi |z|^2).  The second exists purely to check the
 first.  The character sum is taken in real arithmetic over the half j <= q/2
 of its conjugate pairs (j, q-j); only its imaginary residue reads the rest.
-On a ray z = t sqrt(r) it depends on t^2 alone, which ray minimization uses.
+On a ray z = t sqrt(r) its rows scale with t^2: ray minimization forms them once.
 """
 
 from __future__ import annotations
@@ -45,35 +45,44 @@ def _check_point(w: CyclicWeights, z, batch: bool = False) -> np.ndarray:
     return z
 
 
-def _closed_form(w: CyclicWeights, z, residue: bool):
-    """(rho,) from the rows j <= q/2 of rho = sum_j e^{a_j} cos b_j, with
-    a_j + i b_j = pi sum_l |z_l|^2 e^{i theta_l(j)} - pi |z|^2; with residue,
-    from all q rows, (rho, sum_{0<j<q/2} |Im t_j + Im t_{q-j}| + |Im t_{q/2}|),
-    Im t_j = e^{a_j} sin b_j.  Each sum over l is accumulated one coordinate
-    at a time, which keeps rows independent of the batch."""
-    z = _check_point(w, z, batch=True)
-    q, e = w.q, w.characters  # e: (q, n), its cos and sin in .real and .imag
-    block = max(1, _BLOCK_TERMS // q)
-    if z.ndim == 2 and len(z) > block:
-        parts = zip(*(_closed_form(w, z[i:i + block], residue) for i in range(0, len(z), block)))
-        return tuple(np.concatenate(p) for p in parts)
-    s = np.abs(np.atleast_2d(z)) ** 2
-    k = q if residue else q // 2 + 1  # rows j < k
+def _rows(w: CyclicWeights, s: np.ndarray, k: int):
+    """(N, k) arrays a_j = pi sum_l s_l cos theta_l(j) - pi sum_l s_l, b_j = pi sum_l
+    s_l sin theta_l(j) for rows j < k at each row s = |z|^2 of s, each sum over l
+    accumulated one coordinate at a time, which keeps rows independent of the batch."""
+    e = w.characters  # (q, n), its cos and sin in .real and .imag
     re, im = s[:, :1] * e.real[:k, 0], s[:, :1] * e.imag[:k, 0]
     for l in range(1, w.n):
         re += s[:, l:l + 1] * e.real[:k, l]
         im += s[:, l:l + 1] * e.imag[:k, l]
-    mag = np.exp(np.pi * re - np.pi * np.sum(s, axis=1)[:, None])
-    terms = mag * np.cos(np.pi * im)
-    value = terms[:, 0] + 2.0 * np.sum(terms[:, 1:(q + 1) // 2], axis=1)
-    if q % 2 == 0:  # j = q/2 is its own conjugate
-        value = value + terms[:, q // 2]
-    out = (value,)
-    if residue:
-        t = mag * np.sin(np.pi * im)
-        out += (np.sum(np.abs(t[:, 1:(q + 1) // 2] + t[:, q - 1:q // 2:-1]), axis=1)
-                + (np.abs(t[:, q // 2]) if q % 2 == 0 else 0.0),)
-    return tuple(float(x[0]) for x in out) if z.ndim == 1 else out
+    return np.pi * re - np.pi * np.sum(s, axis=1)[:, None], np.pi * im
+
+
+def _fold(q: int, a, b):
+    """sum_j e^{a_j} cos b_j over all q rows from the rows j <= q/2 on the last
+    axis: row 0, twice each conjugate pair (j, q-j), the middle row j = q/2 once."""
+    terms = np.exp(a) * np.cos(b)
+    value = terms[..., 0] + 2.0 * np.sum(terms[..., 1:(q + 1) // 2], axis=-1)
+    return value + terms[..., q // 2] if q % 2 == 0 else value
+
+
+def _closed_form(w: CyclicWeights, z, residue: bool):
+    """(rho,) as _fold of the rows j <= q/2; with residue, from all q rows,
+    (rho, sum_{0<j<q/2} |Im t_j + Im t_{q-j}| + |Im t_{q/2}|), Im t_j = e^{a_j} sin b_j.
+    Points go in blocks of at most _BLOCK_TERMS terms."""
+    z = _check_point(w, z, batch=True)
+    s = np.abs(np.atleast_2d(z)) ** 2
+    q, half, block = w.q, w.q // 2 + 1, max(1, _BLOCK_TERMS // w.q)
+    parts = []
+    for i in range(0, len(s), block):
+        a, b = _rows(w, s[i:i + block], q if residue else half)
+        part = (_fold(q, a[:, :half], b[:, :half]),)
+        if residue:
+            t = np.exp(a) * np.sin(b)
+            part += (np.sum(np.abs(t[:, 1:(q + 1) // 2] + t[:, q - 1:q // 2:-1]), axis=1)
+                     + (np.abs(t[:, q // 2]) if q % 2 == 0 else 0.0),)
+        parts.append(part)
+    return (tuple(float(x[0]) for x in parts[0]) if z.ndim == 1
+            else tuple(map(np.concatenate, zip(*parts))))
 
 
 def rho_closed_detailed(w: CyclicWeights, z):
@@ -86,8 +95,7 @@ def rho_closed_detailed(w: CyclicWeights, z):
     single-point call bit for bit, and the value equals rho_closed's.  The
     residue is sum_j |Im t_j + Im t_{q-j}| over the conjugate pairs of terms
     t_j, the imaginary part taken from the terms above q/2 as well as below,
-    and should sit at machine noise relative to sum_j |t_j|.
-    """
+    and should sit at machine noise relative to sum_j |t_j|."""
     return _closed_form(w, z, residue=True)
 
 
@@ -95,13 +103,16 @@ def rho_closed(w: CyclicWeights, z):
     """Closed-form Bergman kernel of C^n/Z_q at the orbit of z (m = 1).
 
     A float for one point of shape (n,), an array for points of shape (N, n).
-    Only the terms j <= q/2 are formed: term 0, twice the real part of each
-    conjugate pair (j, q-j), and the middle term j = q/2 once."""
+    Only the terms j <= q/2 are formed, and _fold adds them."""
     return _closed_form(w, z, residue=False)[0]
 
 
-def _admissible(w: CyclicWeights, degree_cap: int) -> np.ndarray:
-    """The rows of admissible_indices as one (count, n) int64 array."""
+def admissible_indices(w: CyclicWeights, degree_cap: int) -> np.ndarray:
+    """Multi-indices j with |j| <= cap and sum_l j_l p_l / q_l integral, as the
+    rows of a (count, n) int64 array in graded lexicographic order.
+
+    All comb(cap + n, n) indices with |j| <= cap are built as one array, so
+    more than MAX_ORACLE_CANDIDATES of them raise ValueError."""
     if degree_cap < 0:
         raise ValueError("degree_cap must be >= 0")
     candidates = math.comb(degree_cap + w.n, w.n)
@@ -117,15 +128,6 @@ def _admissible(w: CyclicWeights, degree_cap: int) -> np.ndarray:
         j = np.column_stack((j[rows], np.arange(rows.size) - (np.cumsum(room) - room)[rows]))
     j = j[j @ weights % q == 0]  # lexicographic order so far
     return j[np.argsort(j.sum(axis=1), kind="stable")]
-
-
-def admissible_indices(w: CyclicWeights, degree_cap: int) -> list[tuple[int, ...]]:
-    """Multi-indices j with |j| <= cap and sum_l j_l p_l / q_l integral,
-    in graded lexicographic order.
-
-    All comb(cap + n, n) indices with |j| <= cap are built as one array, so
-    more than MAX_ORACLE_CANDIDATES of them raise ValueError."""
-    return list(map(tuple, _admissible(w, degree_cap).tolist()))
 
 
 def _log_poisson_tails(lam: float, caps: int) -> np.ndarray:
@@ -151,11 +153,8 @@ def _log_poisson_tails(lam: float, caps: int) -> np.ndarray:
 
 def degree_cap_for(w: CyclicWeights, z, tol: float) -> int:
     """Smallest cap in 1..2000 whose Poisson tail bound q P(N > cap),
-    N ~ Poisson(pi |z|^2), is at most tol.
-
-    Raises if there is none, or if the admissible index count would exceed
-    MAX_ORACLE_INDICES.
-    """
+    N ~ Poisson(pi |z|^2), is at most tol; raises if there is none.  Whether
+    rho_oracle can afford the cap's indices is its own check."""
     z = _check_point(w, z)
     lam = math.pi * float(np.sum(np.abs(z) ** 2))
     for caps in (64, 2000):  # most caps are below 64; the short range saves the long one
@@ -164,11 +163,7 @@ def degree_cap_for(w: CyclicWeights, z, tol: float) -> int:
             break
     else:
         raise ValueError("tail bound does not reach tolerance at a sane cap")
-    cap = int(hit[0]) + 1
-    count = len(_admissible(w, cap))
-    if count > MAX_ORACLE_INDICES:
-        raise ValueError(f"oracle would need {count} > {MAX_ORACLE_INDICES} indices")
-    return cap
+    return int(hit[0]) + 1
 
 
 @dataclass(frozen=True)
@@ -188,7 +183,7 @@ def rho_oracle(w: CyclicWeights, z, degree_cap: int) -> OracleResult:
     z = _check_point(w, z)
     s = np.abs(z) ** 2
     lam = math.pi * float(np.sum(s))
-    j = _admissible(w, degree_cap)
+    j = admissible_indices(w, degree_cap)
     if len(j) > MAX_ORACLE_INDICES:
         raise ValueError(f"{len(j)} indices exceed the {MAX_ORACLE_INDICES} cap")
     with np.errstate(divide="ignore"):
@@ -242,21 +237,17 @@ def _brent_min(f, a: float, b: float, xatol: float):
 
 
 def _ray(w: CyclicWeights, r: np.ndarray):
-    """f(x) = rho(sqrt(x r)), x = t^2, on the ray z = t sqrt(r): the closed form's
-    rows j <= q/2 as sum_j c_j e^{x alpha_j} cos(x beta_j), alpha_j = pi sum_l
-    r_l (cos theta_lj - 1) and beta_j = pi sum_l r_l sin theta_lj formed once, c = 2
-    but for rows 0 and q/2; row 0 is exactly 1.  f takes a float, or a 1-D array
-    in blocks of at most _BLOCK_TERMS terms, each value the float's bit for bit."""
-    e = w.characters[:w.q // 2 + 1]
-    alpha, beta = np.pi * ((e.real - 1.0) @ r), np.pi * (e.imag @ r)
-    j = np.arange(len(e))
-    c = np.where((j == 0) | (2 * j == w.q), 1.0, 2.0)
-    block = max(1, _BLOCK_TERMS // len(e))
+    """f(x) = rho(sqrt(x r)), x = t^2, on the ray z = t sqrt(r): _fold of x a and
+    x b, the closed form's rows j <= q/2 at s = r formed once.  f takes a float,
+    or a 1-D array in blocks of at most _BLOCK_TERMS terms, each value the
+    float's bit for bit; at x = 1 it is rho_closed's at |z|^2 = r bit for bit."""
+    a, b = (v[0] for v in _rows(w, r[None], w.q // 2 + 1))
+    block = max(1, _BLOCK_TERMS // len(a))
 
     def f(x):
         if np.ndim(x) == 1:  # as columns, block by block
             return np.concatenate([f(x[i:i + block, None]) for i in range(0, len(x), block)])
-        return np.sum(np.exp(x * alpha) * np.cos(x * beta) * c, axis=-1)
+        return _fold(w.q, x * a, x * b)
     return f
 
 

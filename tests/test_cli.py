@@ -141,6 +141,25 @@ class TestExitCodes:
         cap = capsys.readouterr()
         assert message in cap.err and "Warning" not in cap.err and cap.out == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z", ["nan", "inf", "1e155"])
+    def test_gram_point_out_of_range_is_2(self, z, capsys):
+        # 1 + |z|^2 overflows past sqrt(max float); before, 1e155 gave rho = 0
+        # with exit 0 and NaN or inf exited 1
+        assert run(["gram", "--m", "4", "--z", z]) == 2
+        cap = capsys.readouterr()
+        assert "point must be finite" in cap.err and "Warning" not in cap.err and cap.out == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gram_large_point_in_range(self, capsys):
+        # the round sphere's kernel is m + 1 everywhere, also near the bound
+        assert run(["gram", "--m", "4", "--z", "1e153"]) == 0
+        rho = float(capsys.readouterr().out.splitlines()[-1].rsplit(",", 1)[1])
+        assert abs(rho - 5.0) <= 1e-12
+        model = GramModel(4)
+        z = 0.999 * math.sqrt(sys.float_info.max)
+        assert abs(gram.rho_gram(gram_matrix(model), model, z) - 5.0) <= 1e-12
+
     @pytest.mark.parametrize("argv, message", [
         (["fscurrent", "--m-list", ","], "--m-list"),
         (["gram", "--m", "4", "--z", ","], "--z"),

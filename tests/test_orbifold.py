@@ -113,19 +113,19 @@ class TestAdmissibleIndices:
     def test_z3_low_degrees(self):
         w = make_cyclic_weights([(1, 3)])
         idx = admissible_indices(w, 7)
-        assert idx == [(0,), (3,), (6,)]
+        assert idx.dtype == np.int64 and idx.tolist() == [[0], [3], [6]]
 
     def test_two_coordinate_congruence(self):
         w = make_cyclic_weights([(1, 3), (1, 5)])
-        idx = admissible_indices(w, 8)
+        idx = admissible_indices(w, 8).tolist()
         for j in idx:
             assert (j[0] * 5 + j[1] * 3) % 15 == 0
-        assert (0, 0) in idx and (5, 5) not in idx  # 5/3+5/5 = 8/3 not integral
+        assert [0, 0] in idx and [5, 5] not in idx  # 5/3+5/5 = 8/3 not integral
 
     def test_graded_lex_order(self):
         w = make_cyclic_weights([(1, 2), (1, 2)])
         idx = admissible_indices(w, 3)
-        degs = [sum(j) for j in idx]
+        degs = idx.sum(axis=1).tolist()
         assert degs == sorted(degs)
 
     def test_negative_cap_rejected(self):
@@ -151,7 +151,9 @@ class TestAdmissibleIndices:
                           if sum(j) <= cap
                           and sum(jl * p * (w.q // q) for jl, (p, q) in zip(j, w.pairs)) % w.q == 0),
                          key=lambda j: (sum(j), j))
-            assert admissible_indices(w, cap) == ref, (w.pairs, cap)
+            idx = admissible_indices(w, cap)
+            assert idx.shape == (len(ref), n) and idx.dtype == np.int64
+            assert list(map(tuple, idx.tolist())) == ref, (w.pairs, cap)
             checked += 1
 
     def test_candidate_budget(self):
@@ -159,8 +161,9 @@ class TestAdmissibleIndices:
         w = make_cyclic_weights([(1, 3), (1, 3), (1, 3)])
         with pytest.raises(ValueError, match="candidate indices"):
             admissible_indices(w, 2000)
+        z = [6.0, 6.0, 6.0]
         with pytest.raises(ValueError, match="candidate indices"):
-            degree_cap_for(w, [6.0, 6.0, 6.0], 1e-12)
+            rho_oracle(w, z, degree_cap_for(w, z, 1e-12))
 
 
 class TestOracle:
@@ -181,6 +184,19 @@ class TestOracle:
         t1 = rho_oracle(w, [1.0], 10).tail_bound
         t2 = rho_oracle(w, [1.0], 20).tail_bound
         assert t2 < t1
+
+    def test_one_index_build_per_check(self, monkeypatch):
+        # degree_cap_for leaves the index array to rho_oracle, which builds it once
+        calls = []
+        build = orbifold.admissible_indices
+        monkeypatch.setattr(orbifold, "admissible_indices",
+                            lambda w, cap: calls.append(cap) or build(w, cap))
+        for pairs, z in (([(1, 3)], [1.0]), ([(1, 3), (1, 5)], [0.9, 0.6])):
+            w = make_cyclic_weights(pairs)
+            calls.clear()
+            res = rho_oracle(w, z, degree_cap_for(w, z, 1e-11))
+            assert calls == [res.degree_cap]
+            assert res.n_indices == len(build(w, res.degree_cap))
 
     def test_zero_coordinate_handled(self):
         w = make_cyclic_weights([(1, 3), (1, 5)])
@@ -472,3 +488,30 @@ class TestBatchedShape:
         z = np.linspace(0.01, 3.0, 400)[:, None] * np.array([1.0, 0.7 + 0.2j])
         values = rho_closed(w, z)
         assert all(rho_closed(w, row) == v for row, v in zip(z, values))
+
+
+class TestRayRows:
+    """orbifold._ray and rho_closed form their rows with one formula: at x = 1
+    the ray's sum at s = |z|^2 is the closed form at z, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_weights_and_points())
+    @example(_SMALL_Q[0])
+    @example(_SMALL_Q[1])
+    @example(_SMALL_Q[2])
+    @example(_SMALL_Q[3])
+    def test_ray_at_one_is_rho_closed(self, case):
+        w, z, _ = case
+        for row in z:
+            assert orbifold._ray(w, np.abs(row) ** 2)(1.0) == rho_closed(w, row)
+
+    def test_ray_at_one_on_benchmark_systems(self):
+        from bergman.resonance import construct_certificate, find_subunity_point
+
+        rng = np.random.default_rng(1)
+        for w in _benchmark_systems(1):
+            wit = find_subunity_point(w, construct_certificate(w))
+            z = rng.normal(size=(20, w.n)) + 1j * rng.normal(size=(20, w.n))
+            z = np.vstack([np.array(wit.z), z])
+            for row in z:
+                assert orbifold._ray(w, np.abs(row) ** 2)(1.0) == rho_closed(w, row), w.pairs
