@@ -10,9 +10,8 @@ from io import StringIO
 import numpy as np
 
 from .kernels import KernelField, rho_revolution
-from .models import RevolutionProfile, make_cone_family, make_cyclic_weights, rescale_to_area
+from .models import RevolutionProfile, make_cone_family, rescale_to_area
 from .potential import build_potential
-from .resonance import construct_certificate, find_subunity_point
 
 __all__ = [
     "ExpansionReport",
@@ -88,15 +87,10 @@ def fs_current_sup(field: KernelField) -> float:
 
 
 def flat_z3_witness_value() -> float:
-    """Kernel value at the first resonance phase of the flat C/Z_3 model.
-
-    This is the epsilon witness the sweep verdicts compare against."""
-    w = make_cyclic_weights([(1, 3)])
-    cert = construct_certificate(w)
-    wit = find_subunity_point(w, cert)
-    if not wit.found:
-        raise RuntimeError("flat model witness not found")
-    return wit.rho
+    """Kernel value 1 - 2 e^{-sqrt(3) pi} of the flat C/Z_3 model at its first
+    resonance phase |z|^2 = 2/sqrt(3), find_subunity_point's witness there: the
+    epsilon witness the sweep verdicts compare against."""
+    return 1.0 - 2.0 * math.exp(-math.sqrt(3.0) * math.pi)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .analysis import (
     lp_deviation,
     tyz_a1_estimate,
 )
-from .gram import GramModel, gram_matrix, rho_gram, rho_gram_field
+from .gram import GramModel, _check_points, gram_matrix, rho_gram, rho_gram_field
 from .kernels import cpn_fs_exact, cpn_fs_oracle, rho_revolution
 from .models import (
     PerturbedPotential,
@@ -154,10 +154,9 @@ def _cmd_resonance(p):
 
 def _cmd_subunity(p):
     w = _parse_weights(p["weights"])
-    cert = construct_certificate(w)
-    wit = find_subunity_point(w, cert, k_max=p["kmax"])
-    if not wit.found:
-        raise ArithmeticError(f"no sub-unity point found; best rho = {wit.rho!r}")
+    if p["kmax"] < 1:  # find_subunity_point's own check, before the certificate search
+        raise ValueError("k_max must be >= 1")
+    wit = find_subunity_point(w, construct_certificate(w), k_max=p["kmax"])
     rows = ["t_sq,rho,k", f"{wit.t * wit.t!r},{wit.rho!r},{wit.k}"]
     return [], rows, f"witness: t^2 = {wit.t**2:.6f}, rho = {wit.rho:.6f}, k = {wit.k}"
 
@@ -179,11 +178,11 @@ def _scaled_cond(G) -> float:
 
 
 def _cmd_gram(p):
-    m = p["m"]
+    m, zs = p["m"], _parse_list(p, "z", complex)
+    _check_points(zs)  # rho_gram's own check, before G is built
     model = GramModel(m, PerturbedPotential(p["pert"]) if p["pert"] else None)
     G = gram_matrix(model)
     cond = _scaled_cond(G)
-    zs = _parse_list(p, "z", complex)
     rhos = rho_gram(G, model, np.array(zs))
     rows = ["z,rho"] + [f"{z!r},{float(rho)!r}" for z, rho in zip(zs, rhos)]
     if p["dump_gram"]:  # the one second artifact
@@ -196,8 +195,7 @@ def _cmd_gram(p):
 def _cmd_cpn(p):
     n, m = p["n"], p["m"]
     exact = cpn_fs_exact(n, m)
-    oracle = cpn_fs_oracle(n, m)
-    rows = ["n,m,rho_exact,rho_oracle", f"{n},{m},{exact},{oracle}"]
+    rows = ["n,m,rho_exact,rho_oracle", f"{n},{m},{exact},{cpn_fs_oracle(n, m)}"]
     return [], rows, f"rho on CP^{n} at m={m}: {exact}"
 
 
@@ -216,6 +214,8 @@ def _cmd_tyz(p):
 def _cmd_lp(p):
     m = p["m"]
     pexp = math.inf if p["p"] in ("inf", "oo") else float(p["p"])
+    if not pexp >= 1:  # lp_deviation's own check, before the field is computed
+        raise ValueError("p must be >= 1 (or inf)")
     if p["pert"]:
         model = GramModel(m, PerturbedPotential(p["pert"]))
         G = gram_matrix(model)

@@ -203,6 +203,12 @@ def _log_frame(m: int, r: np.ndarray) -> np.ndarray:
     return k_log_r - 0.5 * log_weight
 
 
+def _check_points(zs) -> None:
+    """Refuse a point not finite or with |z| > sqrt(max float), where 1 + |z|^2 overflows."""
+    if not np.abs(zs).max(initial=0.0) <= math.sqrt(sys.float_info.max):
+        raise ValueError("point must be finite, with |z| at most sqrt(max float)")
+
+
 def rho_gram(G: np.ndarray, model: GramModel, z):
     """Bergman kernel v* G^{-1} v (1+|z|^2)^{-m} e^{m phi(z)}, v = (e_k(z)) and
     G = gram_matrix(model), at affine-chart points: |L^{-1} v|^2 e^{m phi}, L the
@@ -210,8 +216,7 @@ def rho_gram(G: np.ndarray, model: GramModel, z):
     an array of points an array of the same shape; |z| > sqrt(max float) is refused."""
     m = model.m
     zs = np.asarray(z, dtype=complex).ravel()
-    if not np.abs(zs).max(initial=0.0) <= math.sqrt(sys.float_info.max):
-        raise ValueError("point must be finite, with |z| at most sqrt(max float)")
+    _check_points(zs)
     V = np.exp(_log_frame(m, np.abs(zs)) + 1j * np.angle(zs)[:, None] * np.arange(m + 1))
     W = _inverse_factor(G) @ V.T
     phi = 0.0 if model.pert is None else np.asarray(model.pert.phi(zs), dtype=float)

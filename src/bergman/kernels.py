@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -312,25 +311,13 @@ def cpn_fs_exact(n: int, m: int) -> int:
         raise ValueError("n must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    out = 1
-    for i in range(1, n + 1):
-        out *= m + i
-    return out
+    return math.prod(range(m + 1, m + n + 1))
 
 
-def cpn_fs_oracle(n: int, m: int) -> Fraction:
-    """Independent exact value from monomial norms.
-
-    N_alpha = alpha! (m-|alpha|)! / (m+n)! (Dirichlet integral in the affine
-    chart); at the origin only alpha = 0 contributes, so rho(0) = 1/N_0.  The
-    dimension count sum_alpha 1 over the total volume 1/n! must agree with the
-    same number, and both are returned as one exact rational after the
-    consistency check.
-    """
-    N0 = Fraction(math.factorial(m), math.factorial(m + n))
-    rho_origin = 1 / N0
-    dim = math.comb(m + n, n)
-    rho_homog = Fraction(dim * math.factorial(n), 1)
-    if rho_origin != rho_homog:
-        raise AssertionError("CP^n oracle internal inconsistency")
-    return rho_origin
+def cpn_fs_oracle(n: int, m: int) -> int:
+    """Independent exact value from the monomial norms N_alpha = alpha!
+    (m-|alpha|)!/(m+n)! (Dirichlet integral in the affine chart): at the origin
+    only alpha = 0 contributes, so rho(0) = 1/N_0 = (m+n)!/m!, an integer."""
+    if n < 0:  # (m+n)! // m! would be 0; math.factorial refuses m < 0 itself
+        raise ValueError("n must be >= 0")
+    return math.factorial(m + n) // math.factorial(m)

@@ -19,10 +19,12 @@ from bergman.models import (
     PerturbedPotential,
     RevolutionProfile,
     make_cone_family,
+    make_cyclic_weights,
     rescale_to_area,
     f_k_alpha,
     round_sphere,
 )
+from bergman.resonance import construct_certificate, find_subunity_point
 
 
 class TestTyz:
@@ -155,6 +157,13 @@ class TestSweep:
     def test_witness_value(self):
         assert abs(flat_z3_witness_value()
                    - (1 - 2 * math.exp(-math.sqrt(3) * math.pi))) < 1e-10
+
+    def test_witness_value_is_the_z3_pipeline_witness(self):
+        # the closed form is the value the certificate search and witness scan
+        # find on C/Z_3, at its first phase
+        w = make_cyclic_weights([(1, 3)])
+        wit = find_subunity_point(w, construct_certificate(w))
+        assert wit.k == 0 and abs(flat_z3_witness_value() - wit.rho) <= 1e-15
 
     def test_verdict_rule(self):
         eps_w = 0.9913

@@ -13,7 +13,6 @@ from bergman import cli, gram, resonance
 from bergman.cli import RunConfig, parse_config, run
 from bergman.gram import GramModel, gram_matrix
 from bergman.models import PerturbedPotential
-from bergman.resonance import SubUnityWitness
 
 
 def read(path):
@@ -115,6 +114,43 @@ class TestExitCodes:
         assert run(["lp", "--m", "3", "--p", "nan"]) == 2
         assert "p must be >= 1" in capsys.readouterr().err
 
+    @staticmethod
+    def _count(monkeypatch, *names):
+        """Calls of each cli-level name, recorded as they go through."""
+        calls = []
+        for name in names:
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _n=name, _f=real, **k:
+                                calls.append(_n) or _f(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("pexp", ["0.5", "nan", "-inf"])
+    @pytest.mark.parametrize("pert", ["0", "6"])
+    def test_lp_exponent_refused_before_the_field(self, pexp, pert, tmp_path, monkeypatch, capsys):
+        calls = self._count(monkeypatch, "build_potential", "rho_revolution", "gram_matrix",
+                            "rho_gram_field")
+        out = tmp_path / "l.csv"
+        assert run(["lp", "--m", "16", "--pert", pert, f"--p={pexp}", "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        assert "p must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kmax", ["0", "-2"])
+    def test_kmax_refused_before_the_certificate_search(self, kmax, tmp_path, monkeypatch, capsys):
+        calls = self._count(monkeypatch, "construct_certificate", "find_subunity_point")
+        out = tmp_path / "w.csv"
+        assert run(["subunity", "--weights", "1/3", f"--kmax={kmax}", "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        assert "k_max must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("z", ["nan", "0,inf", "1e155"])
+    def test_gram_point_refused_before_the_build(self, z, tmp_path, monkeypatch, capsys):
+        calls = self._count(monkeypatch, "gram_matrix", "rho_gram")
+        out, dump = tmp_path / "g.csv", tmp_path / "G.csv"
+        assert run(["gram", "--m", "400", "--pert", "6", "--z", z, "--out", str(out),
+                    "--dump-gram", str(dump)]) == 2
+        assert calls == [] and not out.exists() and not dump.exists()
+        assert "point must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["orbifold-eval", "--z", "1"], ["resonance"],
                                       ["subunity"], ["orbifold-ray", "--direction", "1"]])
     def test_character_table_beyond_bound_is_2(self, argv, capsys):
@@ -173,11 +209,12 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_no_subunity_witness_is_1(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "find_subunity_point", lambda w, cert, k_max: SubUnityWitness(
-            z=(0j,), rho=1.5, k=0, t=0.0, found=False))
+        def no_witness(w, cert, k_max):
+            raise ArithmeticError("no sub-unity point found; best rho = 1.5")
+        monkeypatch.setattr(cli, "find_subunity_point", no_witness)
         out = tmp_path / "w.csv"
         assert run(["subunity", "--weights", "1/3", "--out", str(out)]) == 1
-        assert "computation failed" in capsys.readouterr().err
+        assert "computation failed: no sub-unity point found; best rho = 1.5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_direction_search_past_its_cap_is_1(self, tmp_path, monkeypatch, capsys):

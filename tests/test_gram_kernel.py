@@ -556,6 +556,9 @@ class TestCpn:
             cpn_fs_exact(0, 5)
         with pytest.raises(ValueError):
             cpn_fs_exact(1, -1)
+        for n, m in ((-1, 5), (2, -1), (-3, 1)):  # the oracle refuses them as well
+            with pytest.raises(ValueError):
+                cpn_fs_oracle(n, m)
 
 
 class TestGram:

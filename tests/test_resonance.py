@@ -86,13 +86,25 @@ class TestConstruction:
         cert = construct_certificate(make_cyclic_weights([(1, 6), (1, 4)]))
         assert all(x >= 0 for x in cert.r)
 
+    @pytest.mark.parametrize("pairs", [[(1, 3)], [(1, 2), (1, 3)],
+                                       [(2, 5), (101, 210), (43, 90), (3, 20)]])
+    def test_one_exhaustive_check_per_certificate(self, pairs, monkeypatch):
+        # the search's own check is the only one: the certificate is not
+        # verified a second time on the same r and j
+        calls = []
+        verify = resonance.verify_certificate
+        monkeypatch.setattr(resonance, "verify_certificate",
+                            lambda w, cert: calls.append(cert) or verify(w, cert))
+        cert = construct_certificate(make_cyclic_weights(pairs))
+        assert [(c.r, c.j) for c in calls] == [(cert.r, cert.j)]
+
 
 class TestSubUnity:
     def test_z3_witness_values(self):
         w = make_cyclic_weights([(1, 3)])
         cert = construct_certificate(w)
         wit = find_subunity_point(w, cert)
-        assert wit.found and wit.k == 0
+        assert wit.rho < 1.0 and wit.k == 0
         assert abs(wit.t ** 2 - 2.0 / math.sqrt(3.0)) < 1e-9
         assert abs(wit.rho - (1 - 2 * math.exp(-math.sqrt(3) * math.pi))) < 1e-10
 
@@ -100,7 +112,7 @@ class TestSubUnity:
         w = make_cyclic_weights([(1, 4), (1, 3)])
         cert = construct_certificate(w)
         wit = find_subunity_point(w, cert)
-        assert wit.found and wit.rho < 1.0
+        assert wit.rho < 1.0
         assert abs(rho_closed(w, np.array(wit.z)) - wit.rho) < 1e-12
         assert all(type(x) is complex for x in wit.z)
 
@@ -109,7 +121,7 @@ class TestSubUnity:
         # dips below 1; min_on_ray's scan of the ray finds the witness (k = -1)
         w = make_cyclic_weights([(2, 5), (101, 210), (43, 90), (3, 20)])
         wit = find_subunity_point(w, construct_certificate(w))
-        assert wit.found and wit.k == -1 and wit.rho < 1.0
+        assert wit.k == -1 and wit.rho < 1.0
         assert wit.rho == rho_closed(w, np.array(wit.z))
 
     def test_phase_confirmed_by_rho_closed(self, monkeypatch):
@@ -125,7 +137,18 @@ class TestSubUnity:
                             rho_closed(w, z))
         wit = find_subunity_point(w, cert)
         k = int(np.flatnonzero(rhos[1:] < 1.0)[0]) + 1
-        assert wit.found and wit.k == k and wit.rho == rhos[k] < 1.0
+        assert wit.k == k and wit.rho == rhos[k] < 1.0
+
+    @pytest.mark.parametrize("best", [1.0, 1.25, math.nan])
+    def test_no_dip_raises_naming_best_rho(self, best, monkeypatch):
+        # no phase dips below 1 on the ray sum, and the ray scan's minimum is
+        # not below 1 either: the search raises and names that minimum
+        w = make_cyclic_weights([(1, 3)])
+        cert = construct_certificate(w)
+        monkeypatch.setattr(resonance, "_ray", lambda w, r: lambda x: np.ones(np.shape(x)))
+        monkeypatch.setattr(resonance, "min_on_ray", lambda w, r, t_max, nodes: (0.5, best))
+        with pytest.raises(ArithmeticError, match=f"no sub-unity point found; best rho = {best!r}$"):
+            find_subunity_point(w, cert)
 
     def test_kmax_validation(self):
         w = make_cyclic_weights([(1, 3)])
@@ -160,8 +183,7 @@ class TestBattery:
             ok, margin, _ = verify_certificate(w, cert)
             assert ok, f"certificate failed for {w.pairs}"
             wit = find_subunity_point(w, cert)
-            assert wit.found and wit.k <= 50, f"no sub-unity point for {w.pairs}"
-            assert wit.rho < 1.0
+            assert wit.rho < 1.0 and wit.k <= 50, f"no sub-unity point for {w.pairs}"
 
 
 def _coprime_battery(seed, count, n_of, draw_q, q_max):
