@@ -118,14 +118,14 @@ def _cmd_orbifold_eval(p):
     z = _parse_list(p, "z", complex)
     if len(z) != w.n:
         raise ValueError(f"point needs {w.n} coordinates, got {len(z)}")
-    rho, resid = rho_closed_detailed(w, z)
+    rho, floor = rho_closed_detailed(w, z)
     rows = ["rho", f"{rho!r}"]
     if p["oracle"]:
         cap = degree_cap_for(w, z, 1e-12)
         orc = rho_oracle(w, z, cap)
         rows = ["rho,oracle,tail_bound,degree_cap",
                 f"{rho!r},{orc.value!r},{orc.tail_bound!r},{orc.degree_cap}"]
-    return [f"health: imag_residue={resid!r}"], rows, f"rho = {rho:.12f}"
+    return [f"health: floor={floor!r}"], rows, f"rho = {rho:.12f}"
 
 
 def _cmd_orbifold_ray(p):
@@ -135,10 +135,10 @@ def _cmd_orbifold_ray(p):
     t_star, rho_star = min_on_ray(w, direction, t_max, nodes=nodes)
     sq = np.sqrt(direction)
     ts = np.linspace(t_max / nodes, t_max, nodes)
-    rhos, resids = rho_closed_detailed(w, ts[:, None] * sq)
-    resid = max(float(resids.max()), rho_closed_detailed(w, t_star * sq)[1])
+    rhos, floors = rho_closed_detailed(w, ts[:, None] * sq)
+    floor = max(float(floors.max()), rho_closed_detailed(w, t_star * sq)[1])
     rows = ["t,rho"] + [f"{float(t)!r},{float(rho)!r}" for t, rho in zip(ts, rhos)]
-    return ([f"min: t={t_star!r} rho={rho_star!r}", f"health: imag_residue={resid!r}"], rows,
+    return ([f"min: t={t_star!r} rho={rho_star!r}", f"health: floor={floor!r}"], rows,
             f"ray minimum rho = {rho_star:.12f} at t = {t_star:.9f}")
 
 

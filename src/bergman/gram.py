@@ -55,9 +55,6 @@ class GramModel:
         if self.pert is not None and self.m >= self.n_theta:
             raise ValueError(f"m = {self.m} needs more than n_theta = {self.n_theta} angles")
 
-    def refined(self) -> "GramModel":
-        return GramModel(self.m, self.pert, self.n_r * 2, self.n_theta * 2)
-
 
 def fs_log_norms(m: int) -> np.ndarray:
     """log of the FS monomial norms i!(m-i)!/(m+1)! (area-1 normalization)."""

@@ -86,10 +86,6 @@ class CyclicWeights:
         table.flags.writeable = False
         return table
 
-    def sigma(self, z: np.ndarray, a: int = 1) -> np.ndarray:
-        """Apply the a-th power of the generator to a point of C^n."""
-        return np.asarray(z, dtype=complex) * self.characters[a % self.q]
-
 
 def make_cyclic_weights(pairs) -> CyclicWeights:
     """Validate and normalize a list of (p, q) integer pairs."""

@@ -4,7 +4,7 @@ Two independent routes: the q-term closed-form character sum, and a truncated
 sum over invariant monomials with a rigorous Poisson tail bound
 q P(N > cap), N ~ Poisson(pi |z|^2).  The second exists purely to check the
 first.  The character sum is taken in real arithmetic over the half j <= q/2
-of its conjugate pairs (j, q-j); only its imaginary residue reads the rest.
+of its conjugate pairs (j, q-j), with a rounding floor from the same rows.
 On a ray z = t sqrt(r) its rows scale with t^2: ray minimization forms them once.
 """
 
@@ -31,7 +31,7 @@ __all__ = [
 
 MAX_ORACLE_INDICES = 10_000
 MAX_ORACLE_CANDIDATES = 1 << 21  # keeps admissible_indices under about 150 MB
-_BLOCK_TERMS = 1 << 16  # points x q terms per batched block, bounds the temporaries
+_BLOCK_TERMS = 1 << 16  # points x rows per batched block, bounds the temporaries
 
 
 def _check_point(w: CyclicWeights, z, batch: bool = False) -> np.ndarray:
@@ -57,46 +57,46 @@ def _rows(w: CyclicWeights, s: np.ndarray, k: int):
     return np.pi * re - np.pi * np.sum(s, axis=1)[:, None], np.pi * im
 
 
-def _fold(q: int, a, b):
-    """sum_j e^{a_j} cos b_j over all q rows from the rows j <= q/2 on the last
+def _fold(q: int, terms):
+    """The sum over all q rows from the rows j <= q/2 of terms, on its last
     axis: row 0, twice each conjugate pair (j, q-j), the middle row j = q/2 once."""
-    terms = np.exp(a) * np.cos(b)
     value = terms[..., 0] + 2.0 * np.sum(terms[..., 1:(q + 1) // 2], axis=-1)
     return value + terms[..., q // 2] if q % 2 == 0 else value
 
 
-def _closed_form(w: CyclicWeights, z, residue: bool):
-    """(rho,) as _fold of the rows j <= q/2; with residue, from all q rows,
-    (rho, sum_{0<j<q/2} |Im t_j + Im t_{q-j}| + |Im t_{q/2}|), Im t_j = e^{a_j} sin b_j.
-    Points go in blocks of at most _BLOCK_TERMS terms."""
+def _closed_form(w: CyclicWeights, z):
+    """(rho, floor) from the rows j <= q/2, terms t_j = e^{a_j + i b_j}: rho is
+    _fold of e^{a_j} cos b_j, floor = 2 eps (1 + pi |z|^2) times _fold of
+    e^{a_j}, the sum of |t_j| over all q rows.  Points go in blocks of at
+    most _BLOCK_TERMS rows."""
     z = _check_point(w, z, batch=True)
     s = np.abs(np.atleast_2d(z)) ** 2
-    q, half, block = w.q, w.q // 2 + 1, max(1, _BLOCK_TERMS // w.q)
+    half = w.q // 2 + 1
+    block = max(1, _BLOCK_TERMS // half)
     parts = []
     for i in range(0, len(s), block):
-        a, b = _rows(w, s[i:i + block], q if residue else half)
-        part = (_fold(q, a[:, :half], b[:, :half]),)
-        if residue:
-            t = np.exp(a) * np.sin(b)
-            part += (np.sum(np.abs(t[:, 1:(q + 1) // 2] + t[:, q - 1:q // 2:-1]), axis=1)
-                     + (np.abs(t[:, q // 2]) if q % 2 == 0 else 0.0),)
-        parts.append(part)
+        a, b = _rows(w, s[i:i + block], half)
+        mag = np.exp(a)
+        scale = 2.0 * sys.float_info.epsilon * (1.0 + np.pi * np.sum(s[i:i + block], axis=1))
+        parts.append((_fold(w.q, mag * np.cos(b)), scale * _fold(w.q, mag)))
     return (tuple(float(x[0]) for x in parts[0]) if z.ndim == 1
             else tuple(map(np.concatenate, zip(*parts))))
 
 
 def rho_closed_detailed(w: CyclicWeights, z):
-    """Closed-form kernel value and the imaginary residue of the character sum.
+    """Closed-form kernel value and its rounding floor.
 
     rho(z) = e^{-pi|z|^2} sum_{j=0}^{q-1} exp(pi sum_l |z_l|^2 e^{2 pi i j p_l / q_l}).
 
     z is one point of shape (n,), giving two floats, or N points of shape
     (N, n), giving two arrays of shape (N,); a batched row equals the
     single-point call bit for bit, and the value equals rho_closed's.  The
-    residue is sum_j |Im t_j + Im t_{q-j}| over the conjugate pairs of terms
-    t_j, the imaginary part taken from the terms above q/2 as well as below,
-    and should sit at machine noise relative to sum_j |t_j|."""
-    return _closed_form(w, z, residue=True)
+    floor, 2 eps (1 + pi |z|^2) sum_j |t_j| over the q terms t_j, bounds the
+    value's rounding error: the exponents and phases carry errors of about
+    eps pi |z|^2 each, the products and the sum a few eps.  Against 40-digit
+    sums on 201 seeded points, q <= 360, n <= 4, |z| <= 8, the error reaches
+    0.42 of it."""
+    return _closed_form(w, z)
 
 
 def rho_closed(w: CyclicWeights, z):
@@ -104,7 +104,7 @@ def rho_closed(w: CyclicWeights, z):
 
     A float for one point of shape (n,), an array for points of shape (N, n).
     Only the terms j <= q/2 are formed, and _fold adds them."""
-    return _closed_form(w, z, residue=False)[0]
+    return _closed_form(w, z)[0]
 
 
 def admissible_indices(w: CyclicWeights, degree_cap: int) -> np.ndarray:
@@ -237,8 +237,8 @@ def _brent_min(f, a: float, b: float, xatol: float):
 
 
 def _ray(w: CyclicWeights, r: np.ndarray):
-    """f(x) = rho(sqrt(x r)), x = t^2, on the ray z = t sqrt(r): _fold of x a and
-    x b, the closed form's rows j <= q/2 at s = r formed once.  f takes a float,
+    """f(x) = rho(sqrt(x r)), x = t^2, on the ray z = t sqrt(r): _fold of e^{x a_j}
+    cos(x b_j), the closed form's rows j <= q/2 at s = r formed once.  f takes a float,
     or a 1-D array in blocks of at most _BLOCK_TERMS terms, each value the
     float's bit for bit; at x = 1 it is rho_closed's at |z|^2 = r bit for bit."""
     a, b = (v[0] for v in _rows(w, r[None], w.q // 2 + 1))
@@ -247,7 +247,7 @@ def _ray(w: CyclicWeights, r: np.ndarray):
     def f(x):
         if np.ndim(x) == 1:  # as columns, block by block
             return np.concatenate([f(x[i:i + block, None]) for i in range(0, len(x), block)])
-        return _fold(w.q, x * a, x * b)
+        return _fold(w.q, np.exp(x * a) * np.cos(x * b))
     return f
 
 

@@ -86,13 +86,15 @@ def _direction_search(w: CyclicWeights) -> ResonanceCertificate:
     """Search the first MAX_SEARCH_DIRECTIONS integer ray directions r >= 0,
     in order of their sum |r| = 1, 2, 3, ..., for a certificate, then raise.
     A direction of sum s is a multiset of s coordinates; one with a common
-    factor g certifies only as r/g, which comes first.  The cosine sums of a
-    block of directions are one matrix product, its factors and result of at
-    most MAX_CHARACTERS entries; a direction whose near-maximal set over
-    k = 1..q-1 (within MARGIN_MIN) is {j, q-j}, with a sine sum of at least
-    SIN_MIN, goes to the exhaustive verifier."""
+    factor g certifies only as r/g, which comes first.  Conjugate characters
+    k and q-k share their cosine sum, so the screen reads rows k = 1..q/2
+    only.  The cosine sums of a block of directions are one matrix product,
+    its factors and result of at most MAX_CHARACTERS entries; a direction
+    whose near-maximal set over those rows (within MARGIN_MIN) is one row
+    j < q/2, with a sine sum of at least SIN_MIN, goes to the exhaustive
+    verifier, which reads all q-1 rows."""
     q, n = w.q, w.n
-    cos_t = w.characters.real[1:].copy()  # rows k = 1..q-1
+    cos_t = w.characters.real[1:q // 2 + 1].copy()  # rows k = 1..q/2
     block = max(1, min(16, MAX_CHARACTERS // max(q, n)))  # most systems certify in the first block
     directions = itertools.islice(itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(n), s) for s in itertools.count(1)),
@@ -102,13 +104,11 @@ def _direction_search(w: CyclicWeights) -> ResonanceCertificate:
         np.add.at(R, (np.repeat(np.arange(len(chunk)), [len(c) for c in chunk]),
                       np.concatenate(chunk)), 1)
         S = R @ cos_t.T  # one row of cosine sums per direction
-        rows = np.arange(len(S))
-        k = S.argmax(axis=1)  # column k is character k+1
-        near = S >= S[rows, k, None] - MARGIN_MIN
-        pair = (np.count_nonzero(near, axis=1) == 2) & near[rows, q - k - 2]  # {k+1, q-k-1} alone
-        pair &= (2 * k + 2 != q) & (np.abs(np.sum(w.characters.imag[k + 1] * R, axis=1)) >= SIN_MIN)
-        for c in np.flatnonzero(pair).tolist():
-            cert = _certify(w, R[c].astype(float), int(min(k[c] + 1, q - k[c] - 1)))
+        j = S.argmax(axis=1) + 1  # column k is character k+1
+        alone = np.count_nonzero(S >= S.max(axis=1, keepdims=True) - MARGIN_MIN, axis=1) == 1
+        alone &= (2 * j != q) & (np.abs(np.sum(w.characters.imag[j] * R, axis=1)) >= SIN_MIN)
+        for c in np.flatnonzero(alone).tolist():
+            cert = _certify(w, R[c].astype(float), int(j[c]))
             if cert is not None:
                 return cert
     raise RuntimeError(f"no certificate for Z_{q} on C^{n} among the first "
@@ -129,28 +129,28 @@ def construct_certificate(w: CyclicWeights) -> ResonanceCertificate:
 
 def find_subunity_point(w: CyclicWeights, cert: ResonanceCertificate,
                         k_max: int = 50) -> SubUnityWitness:
-    """Scan the resonance phases t_k^2 = (2k+1)/|sin_sum| for rho < 1.
+    """Scan the resonance phases t_k^2 = (2k+1)/|sin_sum|, k = 0..k_max, for rho < 1.
 
     The closed form carries pi inside the exponent, so the oscillatory phase
     at t is pi t^2 sin_sum; t_k lands it on (2k+1) pi, where the dominant
-    character contributes -1.  The first phase, in order, whose ray sum and
-    rho_closed are below 1 is the witness; else it is min_on_ray's ray scan
-    with Brent refinement (k = -1), and ArithmeticError names that minimum
-    if it is not below 1 either.  A witness's rho is rho_closed at its point.
+    character contributes -1.  The phases are formed one at a time, and the
+    first, in order, whose ray sum and rho_closed are below 1 is the witness.
+    Else it is min_on_ray's scan of (0, t_0], the stretch before the first
+    phase, with 2048 nodes and Brent refinement (k = -1), whatever k_max is;
+    ArithmeticError names that minimum if it is not below 1 either.  A
+    witness's rho is rho_closed at its point.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     r = np.asarray(cert.r, dtype=float)
     if abs(cert.sin_sum) < SIN_MIN:
         raise ValueError("certificate sine sum too small")
-    sq = np.sqrt(r)
-    ts = np.sqrt((2.0 * np.arange(k_max + 1) + 1.0) / abs(cert.sin_sum))
-    f = _ray(w, r)
-    for k, t in enumerate(ts.tolist()):  # the first phase rho_closed confirms
+    sq, f = np.sqrt(r), _ray(w, r)
+    for k in range(k_max + 1):  # the first phase rho_closed confirms
+        t = math.sqrt((2.0 * k + 1.0) / abs(cert.sin_sum))
         if f(t * t) < 1.0 and (rho := rho_closed(w, t * sq)) < 1.0:
             return SubUnityWitness(tuple(map(complex, t * sq)), rho, k, t)
-    # fallback: global scan of the ray up to the largest phase tried
-    t_star, rho_star = min_on_ray(w, r, float(ts[-1]), nodes=2048)
+    t_star, rho_star = min_on_ray(w, r, math.sqrt(1.0 / abs(cert.sin_sum)), nodes=2048)
     if not rho_star < 1.0:
         raise ArithmeticError(f"no sub-unity point found; best rho = {rho_star!r}")
     return SubUnityWitness(tuple(map(complex, t_star * sq)), rho_star, -1, t_star)

@@ -107,7 +107,7 @@ def test_criterion_02_orbifold_property_suite():
         base = rho_closed(w, z)
         a = int(rng.integers(1, w.q + 1))
         worst = max(worst,
-                    abs(rho_closed(w, w.sigma(z, a)) - base) / max(base, 1.0))
+                    abs(rho_closed(w, z * np.exp(1j * w.phases(a))) - base) / max(base, 1.0))
     report(2, worst < 1e-12,
            f"rho(0)=q, q=1 identity, sigma-invariance; worst dev {worst:.2e}")
 

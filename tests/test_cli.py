@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -258,7 +259,7 @@ class TestOutputFormat:
         assert lines[1] == "# command: orbifold-eval"
         cfg = json.loads(lines[2].removeprefix("# config: "))
         assert cfg["weights"] == "1/3"
-        assert lines[3].startswith("# health: imag_residue=")
+        assert lines[3].startswith("# health: floor=")
         assert lines[4] == "rho"
 
     def test_orbifold_eval_fixture(self, tmp_path):
@@ -285,6 +286,16 @@ class TestOutputFormat:
         assert abs(float(t_sq) - 2 / math.sqrt(3)) < 1e-9
         assert abs(float(rho) - (1 - 2 * math.exp(-math.sqrt(3) * math.pi))) < 1e-10
         assert k == "0"
+
+    def test_subunity_fallback_at_large_kmax(self, tmp_path, capsys):
+        # no resonance phase dips below 1; the ray scan of (0, t_0] finds the
+        # witness however many phases were tried
+        out = tmp_path / "w.csv"
+        assert run(["subunity", "--weights", "2/5,101/210,43/90,3/20", "--kmax", "500",
+                    "--out", str(out)]) == 0
+        row = [ln for ln in read(out).splitlines() if not ln.startswith("#")][1]
+        assert float(row.split(",")[1]) == 0.1718757387535193 and row.endswith(",-1")
+        capsys.readouterr()
 
     def test_stdout_when_no_out(self, capsys):
         assert run(["cpn", "--n", "2", "--m", "3"]) == 0
@@ -422,25 +433,37 @@ class TestOutputFormat:
         assert abs(float(fields["residual"])) < 1e-6
 
     def test_orbifold_health_header(self, tmp_path, monkeypatch, capsys):
-        # the imaginary residue of the character sum: machine noise on C/Z_3,
-        # and on C/Z_213 as large as the ray minimum it sits beside
+        # the rounding floor of the character sum: below 1e-13 on C/Z_3 and
+        # at least the error of rho against the exact value, there
+        # 1 + 2 e^{-3 pi t^2/2} cos(sqrt(3) pi t^2/2); on the C/Z_213 ray,
+        # above the minimum rho the scan reports, whose exact value is 3.8e-31
         monkeypatch.chdir(tmp_path)
         (tmp_path / "out").mkdir()
 
-        def residue(path):
+        def floor(path):
             health = [ln for ln in read(path).splitlines() if ln.startswith("# health: ")]
             assert len(health) == 1
             key, value = health[0].removeprefix("# health: ").split("=")
-            assert key == "imag_residue"
+            assert key == "floor"
             return float(value)
-        for name in ("orbifold_z3_eval", "orbifold_z3_ray"):
+
+        def exact(t):
+            with mp.workdps(30):
+                y = mp.pi * mp.mpf(t) ** 2
+                return 1 + 2 * mp.exp(-1.5 * y) * mp.cos(mp.sqrt(3) / 2 * y)
+        for name, pick in (("orbifold_z3_eval", lambda row: ("1.0", row[0])),  # z = 1
+                           ("orbifold_z3_ray", lambda row: row)):
             config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
             assert run(["config", str(config)]) == 0
-            assert 0.0 <= residue(tmp_path / "out" / f"{name}.csv") <= 1e-15
+            path = tmp_path / "out" / f"{name}.csv"
+            rows = [ln.split(",") for ln in read(path).splitlines() if not ln.startswith("#")][1:]
+            error = max(abs(float(rho) - exact(float(t))) for t, rho in map(pick, rows))
+            assert error <= floor(path) < 1e-13
         out = tmp_path / "ray213.csv"
         assert run(["orbifold-ray", "--weights", "1/213", "--direction", "1", "--tmax", "8",
                     "--out", str(out)]) == 0
-        assert residue(out) >= 1e-14
+        rho_star = float(read(out).splitlines()[3].split("rho=")[1])
+        assert 0.0 < abs(rho_star) < floor(out)
         capsys.readouterr()
 
     def test_gram_dump_holds_numbers(self, tmp_path, capsys):

@@ -703,7 +703,8 @@ class TestGram:
     def test_n_theta_multiple_of_8(self):
         with pytest.raises(ValueError, match="multiple of 8"):
             GramModel(8, PerturbedPotential(6), n_theta=60)
-        assert GramModel(8, PerturbedPotential(6), n_theta=64).refined().n_theta == 128
+        model = GramModel(8, PerturbedPotential(6), n_theta=64)
+        assert GramModel(8, model.pert, 2 * model.n_r, 2 * model.n_theta).n_theta == 128
 
     def test_offdiagonal_magnitude_bound(self):
         # couplings come from the k^-4 oscillation over the unit disc: at most
@@ -755,10 +756,11 @@ class TestGram:
     def test_refinement_self_consistency(self):
         model = GramModel(8, PerturbedPotential(6))
         G1 = gram_matrix(model)
-        G2 = gram_matrix(model.refined())
+        refined = GramModel(model.m, model.pert, 2 * model.n_r, 2 * model.n_theta)
+        G2 = gram_matrix(refined)
         for z in (0.0, 0.2 + 0.1j, 0.8):
             r1 = rho_gram(G1, model, z)
-            r2 = rho_gram(G2, model.refined(), z)
+            r2 = rho_gram(G2, refined, z)
             assert abs(r1 - r2) < 1e-6
 
     def test_gram_vs_diagonal_path_agreement(self):

@@ -26,6 +26,16 @@ WITNESS_Z3 = 0.991333158980034    # 1 - 2 exp(-sqrt(3) pi)
 RHO_Z3_AT_ONE = 0.983601465813    # 1 + 2 e^{-3 pi/2} cos(sqrt(3) pi/2)
 
 
+def _rho_40_digits(w, z):
+    """The character sum in 40-digit arithmetic, j p_l / q_l exact."""
+    with mp.workdps(40):
+        s = [abs(mp.mpc(c)) ** 2 for c in z]
+        total = sum(mp.exp(mp.pi * sum(sl * mp.expjpi(mp.mpf(2 * j * p) / ql)
+                                       for sl, (p, ql) in zip(s, w.pairs)))
+                    for j in range(w.q))
+        return total.real * mp.exp(-mp.pi * sum(s))
+
+
 class TestClosedForm:
     def test_origin_value_is_group_order(self):
         for pairs in ([(1, 2)], [(1, 3), (1, 5)], [(3, 7), (2, 5), (1, 2)]):
@@ -47,43 +57,51 @@ class TestClosedForm:
         w = make_cyclic_weights([(1, 3)])
         assert abs(rho_closed(w, [1.0]) - RHO_Z3_AT_ONE) < 1e-10
 
-    def test_imaginary_residue_negligible(self):
+    def test_floor_is_machine_noise(self):
         w = make_cyclic_weights([(2, 7), (3, 5)])
-        _, resid = rho_closed_detailed(w, [1.1 + 0.0j, 0.4])
-        assert resid < 1e-12
+        z = [1.1 + 0.0j, 0.4]
+        rho, floor = rho_closed_detailed(w, z)
+        assert abs(rho - _rho_40_digits(w, z)) <= floor < 1e-13
+        assert rho_closed_detailed(w, [0.0, 0.0]) == (w.q, 2.0 * np.finfo(float).eps * w.q)
 
-    def test_residue_reads_both_halves(self):
-        # at the ray minimum of C/Z_213 the pairs' imaginary parts cancel to
-        # rounding, not to zero: a residue taken from the terms j < q/2 alone
-        # reads either 0 or their full imaginary parts
-        w = make_cyclic_weights([(1, 213)])
-        t_star, _ = min_on_ray(w, [1.0], 8.0)
-        _, resid = rho_closed_detailed(w, [t_star])
-        _, mass = _rho_loop(w, [t_star])
-        assert 0.0 < resid <= w.q * np.finfo(float).eps * mass
+    def test_floor_bounds_40_digit_error(self):
+        # 200 seeded points, 8 systems of each order q with n <= 4 and 5
+        # points of |z| <= 8 on each, and the C/Z_213 ray minimum, where the
+        # terms cancel to rounding: rho is within its floor of the sum in
+        # 40-digit arithmetic at every one
+        rng = random.Random(27)
+        cases = [([(1, 213)], [min_on_ray(make_cyclic_weights([(1, 213)]), [1.0], 8.0)[0]])]
+        for q in (3, 7, 60, 213, 360):
+            divisors = [d for d in range(2, q + 1) if q % d == 0]
+            for _ in range(8):
+                n = rng.randint(1, 4)
+                qs = [q] + [rng.choice(divisors) for _ in range(n - 1)]
+                pairs = [(rng.choice([p for p in range(1, ql) if math.gcd(p, ql) == 1]), ql)
+                         for ql in rng.sample(qs, n)]
+                for _ in range(5):
+                    z = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)])
+                    cases.append((pairs, z * rng.uniform(0.0, 8.0) / np.linalg.norm(z)))
+        assert len(cases) == 201
+        for pairs, z in cases:
+            w = make_cyclic_weights(pairs)
+            rho, floor = rho_closed_detailed(w, z)
+            assert abs(rho - _rho_40_digits(w, z)) <= floor, (pairs, z)
 
     @pytest.mark.parametrize("pairs, z", [
         ([(1, 3), (62, 71)], [0.0, 2.0j]),
         ([(7, 60), (11, 360)], [1.5, 2.0]),
     ])
     def test_matches_40_digit_sum(self, pairs, z):
-        # the character sum in 40-digit arithmetic, j p_l / q_l exact; with
-        # j p_l unreduced mod q_l the angles lose about 1e-13
+        # with j p_l unreduced mod q_l the angles lose about 1e-13
         w = make_cyclic_weights(pairs)
-        with mp.workdps(40):
-            s = [abs(mp.mpc(c)) ** 2 for c in z]
-            total = sum(mp.exp(mp.pi * sum(sl * mp.expjpi(mp.mpf(2 * j * p) / ql)
-                                           for sl, (p, ql) in zip(s, w.pairs)))
-                        for j in range(w.q))
-            exact = float(total.real * mp.exp(-mp.pi * sum(s)))
-        assert abs(rho_closed(w, z) - exact) <= 1e-13
+        assert abs(rho_closed(w, z) - float(_rho_40_digits(w, z))) <= 1e-13
 
     def test_group_invariance(self):
         w = make_cyclic_weights([(1, 3), (2, 5)])
         z = np.array([0.8 + 0.3j, 1.1 - 0.2j])
         base = rho_closed(w, z)
         for a in range(1, w.q):
-            assert abs(rho_closed(w, w.sigma(z, a)) - base) < 1e-12
+            assert abs(rho_closed(w, z * np.exp(1j * w.phases(a))) - base) < 1e-12
 
     def test_shape_validation(self):
         w = make_cyclic_weights([(1, 3)])
@@ -405,7 +423,7 @@ class TestRandomizedProperties:
                 assert abs(rho_closed(w, z) - 1.0) < 1e-12
             base = rho_closed(w, z)
             a = int(rng.integers(1, w.q + 1))
-            assert abs(rho_closed(w, w.sigma(z, a)) - base) < 1e-12 * max(base, 1.0)
+            assert abs(rho_closed(w, z * np.exp(1j * w.phases(a))) - base) < 1e-12 * max(base, 1.0)
 
 
 @st.composite
@@ -429,18 +447,6 @@ def _weights_and_points(draw):
     return w, z, draw(st.integers(1, w.q))
 
 
-def _rho_loop(w, z):
-    """The closed form accumulated term by term in j, as the reference for
-    the array form, and the sum of the terms' moduli."""
-    s = np.abs(np.asarray(z)) ** 2
-    terms = [np.exp(np.pi * np.sum(s * np.exp(1j * w.phases(j))) - np.pi * np.sum(s))
-             for j in range(w.q)]
-    value = terms[0].real
-    for j in range(1, w.q // 2 + 1):
-        value += terms[j].real if 2 * j == w.q else 2.0 * terms[j].real
-    return value, sum(abs(t) for t in terms)
-
-
 # q = 1 .. 4: no pair, one pair, and the odd and the even middle term
 _SMALL_Q = [(make_cyclic_weights(pairs), np.array(z), 1) for pairs, z in [
     ([(0, 1)], [[0.7 - 0.2j], [1.9j]]),
@@ -459,19 +465,15 @@ class TestBatchedShape:
     @example(_SMALL_Q[3])
     def test_rows_match_single_points(self, case):
         w, z, _ = case
-        values, resids = rho_closed_detailed(w, z)
-        assert values.shape == resids.shape == (len(z),)
-        # the half-table value equals the full table's, bit for bit
+        values, floors = rho_closed_detailed(w, z)
+        assert values.shape == floors.shape == (len(z),)
         assert np.all(rho_closed(w, z) == values)
-        for row, value, resid in zip(z, values, resids):
+        for row, value, floor in zip(z, values, floors):
             single = rho_closed_detailed(w, row)
-            assert single == (value, resid)
+            assert single == (value, floor)
             assert rho_closed(w, row) == value
             assert all(type(x) is float for x in single)
-            # only the order of the additions and the rounding of exp differ
-            # from the reference
-            ref, mass = _rho_loop(w, row)
-            assert abs(value - ref) <= w.q * np.finfo(float).eps * mass
+            assert abs(value - _rho_40_digits(w, row)) <= floor
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(_weights_and_points())
@@ -479,7 +481,7 @@ class TestBatchedShape:
         w, z, a = case
         assert np.all(rho_closed(w, np.zeros_like(z)) == w.q)
         base = rho_closed(w, z)
-        moved = rho_closed(w, w.sigma(z, a))
+        moved = rho_closed(w, z * np.exp(1j * w.phases(a)))
         assert np.all(np.abs(moved - base) <= 1e-12 * np.maximum(base, 1.0))
 
     def test_blocks_match_single_points(self):

@@ -1,18 +1,25 @@
+import itertools
 import math
 import random
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bergman import resonance
 from bergman.models import make_cyclic_weights
-from bergman.orbifold import rho_closed
+from bergman.orbifold import min_on_ray, rho_closed
 from bergman.resonance import (
     ResonanceCertificate,
     construct_certificate,
     find_subunity_point,
     verify_certificate,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (perfbench's seeded orbifold systems)
 
 
 def random_weight_systems(count, seed, q_max=60, n_max=3):
@@ -99,6 +106,9 @@ class TestConstruction:
         assert [(c.r, c.j) for c in calls] == [(cert.r, cert.j)]
 
 
+FALLBACK_PAIRS = [(2, 5), (101, 210), (43, 90), (3, 20)]  # no resonance phase dips below 1
+
+
 class TestSubUnity:
     def test_z3_witness_values(self):
         w = make_cyclic_weights([(1, 3)])
@@ -119,10 +129,34 @@ class TestSubUnity:
     def test_ray_scan_fallback(self):
         # the certificate's sine sum is -4.5e-4, so no phase t_k with k <= 50
         # dips below 1; min_on_ray's scan of the ray finds the witness (k = -1)
-        w = make_cyclic_weights([(2, 5), (101, 210), (43, 90), (3, 20)])
+        w = make_cyclic_weights(FALLBACK_PAIRS)
         wit = find_subunity_point(w, construct_certificate(w))
         assert wit.k == -1 and wit.rho < 1.0
         assert wit.rho == rho_closed(w, np.array(wit.z))
+
+    @pytest.mark.parametrize("k_max", [50, 500, 5000])
+    def test_fallback_scan_ends_at_first_phase(self, k_max):
+        # the scan covers (0, t_0] with its 2048 nodes, whatever k_max is: a
+        # window that grew with k_max would step past the narrow dip at t = 1.013
+        w = make_cyclic_weights(FALLBACK_PAIRS)
+        cert = construct_certificate(w)
+        wit = find_subunity_point(w, cert, k_max=k_max)
+        assert (wit.k, wit.t, wit.rho) == (-1, 1.0128794406368138, 0.1718757387535193)
+        assert (wit.t, wit.rho) == min_on_ray(w, cert.r, math.sqrt(1.0 / abs(cert.sin_sum)), 2048)
+
+    def test_phases_formed_one_at_a_time(self):
+        # the C/Z_3 witness is the first phase, and k_max = 10^6 allocates no
+        # array of its 10^6 phases on the way
+        w = make_cyclic_weights([(1, 3)])
+        cert = construct_certificate(w)
+        tracemalloc.start()
+        try:
+            wit = find_subunity_point(w, cert, k_max=10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wit == find_subunity_point(w, cert) and wit.k == 0
+        assert peak < 1 << 20
 
     def test_phase_confirmed_by_rho_closed(self, monkeypatch):
         # a ray sum that reads every phase as below 1: the witness is still
@@ -210,14 +244,17 @@ ORDERS_B = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 18, 20, 24, 30, 36, 45, 60, 
 MARGIN_FLOOR = 1e-9
 
 
-@pytest.mark.parametrize("battery", [
+BATTERIES = {
     # A: n = 1, 2, 3 in turn, q_l uniform in 2..60, q <= 3000
-    (7, 1200, lambda i: 1 + i % 3, lambda rng: rng.randint(2, 60), 3000),
+    "A": (7, 1200, lambda i: 1 + i % 3, lambda rng: rng.randint(2, 60), 3000),
     # B: n = 2, 3, 4 in turn, q_l from highly composite orders, q <= 20000
-    (11, 1500, lambda i: 2 + i % 3, lambda rng: rng.choice(ORDERS_B), 20000),
+    "B": (11, 1500, lambda i: 2 + i % 3, lambda rng: rng.choice(ORDERS_B), 20000),
     # wide: n = 5 .. 10 in turn, q_l from the first 19 of those orders, q <= 20000
-    (5, 600, lambda i: 5 + i % 6, lambda rng: rng.choice(ORDERS_B[:19]), 20000),
-], ids=["A", "B", "wide"])
+    "wide": (5, 600, lambda i: 5 + i % 6, lambda rng: rng.choice(ORDERS_B[:19]), 20000),
+}
+
+
+@pytest.mark.parametrize("battery", BATTERIES.values(), ids=BATTERIES.keys())
 def test_certificate_battery(battery):
     """Every certificate verifies, clears MARGIN_FLOOR, and passes a check
     with unreduced phases cos(2 pi k p_l / q_l)."""
@@ -231,6 +268,36 @@ def test_certificate_battery(battery):
         rivals = [k for k in range(1, w.q) if k not in (cert.j, w.q - cert.j)]
         assert S[cert.j] - np.max(S[rivals], initial=-math.inf) >= MARGIN_FLOOR, pairs
         assert abs(np.sin(theta[cert.j]) @ np.array(cert.r)) >= resonance.SIN_MIN, pairs
+
+
+def _full_row_search(w):
+    """The certificate search with a screen over all rows k = 1..q-1, one
+    direction at a time: the first direction whose near-maximal set is a
+    conjugate pair {j, q-j} alone, j < q/2, with a sine sum, that verifies."""
+    for d in itertools.islice(itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(w.n), s) for s in itertools.count(1)),
+            resonance.MAX_SEARCH_DIRECTIONS):
+        r = np.bincount(d, minlength=w.n)
+        S = w.characters.real[1:] @ r
+        near = set((np.flatnonzero(S >= S.max() - resonance.MARGIN_MIN) + 1).tolist())
+        j = min(near)
+        if near == {j, w.q - j} and 2 * j != w.q and abs(w.characters.imag[j] @ r) >= resonance.SIN_MIN:
+            cert = resonance._certify(w, r.astype(float), j)
+            if cert is not None:
+                return cert
+    return None
+
+
+@pytest.mark.parametrize("name", [*BATTERIES, "perfbench"])
+def test_half_row_screen_matches_full_rows(name):
+    # the search screens rows 1..q/2 only; its certificates, margins and sine
+    # sums equal those of a screen over every row, bit for bit, on each
+    # battery and on the systems of perfbench's orbifold seeds 1 to 3
+    systems = (_coprime_battery(*BATTERIES[name]) if name in BATTERIES else
+               [p for seed in (1, 2, 3) for p in workloads.orbifold_inputs(seed)["systems"]])
+    for pairs in systems:
+        w = make_cyclic_weights(pairs)
+        assert construct_certificate(w) == _full_row_search(w), pairs
 
 
 @pytest.mark.parametrize("pairs", [
