@@ -1,19 +1,17 @@
 """Bergman kernels of revolution metrics on CP^1 and the exact CP^n values.
 
 Rotation invariance decouples the Fourier modes, so the kernel is a diagonal
-sum over monomial sections z^k with weighted L^2 norms N_k.  All per-term
-arithmetic is done in log space; e^{2ku} overflows long before m reaches the
-interesting range otherwise.
+sum over monomial sections z^k with weighted L^2 norms N_k, each term in log
+space (e^{2ku} overflows long before m reaches the interesting range).
 
-Both diagonal sums are local (peak sections): the norm N_k lives on the
-nodes near the radius where 2ku - 2 pi m phi peaks, and rho_m at a point on
-the k near its moment-map value.  One banded evaluator, _banded_logsumexp,
-sums either kind in blocks of rows with temporaries of about _BUDGET
-entries, each block only over the columns within e^-_CUT of its edge rows'
-largest terms, each block summed in place; only the public logsumexp
-copies its input.  It bounds the mass it leaves out from terms it has
-computed, refuses a bound above _TAIL_LIMIT and reports the rest; a
-KernelField carries the largest as ``tail_bound``.
+Both sums are local (peak sections): N_k lives on the nodes near the radius
+where 2ku - 2 pi m phi peaks, rho_m at a point on the k near its moment-map
+value.  _banded_logsumexp sums either in blocks of about _BUDGET entries,
+each only over the columns within e^-_CUT of its edge rows' largest terms;
+a kernel block is column-major, so its sums run along the contiguous points.
+Blocks are summed in place in four passes, and the edge rows' exponentiated
+terms bound the mass left out; a bound above _TAIL_LIMIT is refused, and a
+KernelField carries the largest of the rest as ``tail_bound``.
 """
 
 from __future__ import annotations
@@ -53,13 +51,8 @@ def logsumexp(a, axis=None):
     """log sum exp(a) over an axis (all of a by default), bit for bit the value
     of scipy.special.logsumexp: every entry equal to the maximum is taken out
     of the sum and counted, log1p(s/m) + log(m) + max.  Where the maximum is
-    not finite, the value is the maximum.  The input is copied once, here;
-    _logsumexp_into sums in place on the copy."""
-    return _logsumexp_into(np.array(a, dtype=float), axis)
-
-
-def _logsumexp_into(a: np.ndarray, axis=None):
-    """logsumexp of a float array, which it overwrites with the summed terms."""
+    not finite, the value is the maximum.  The input is copied once."""
+    a = np.array(a, dtype=float)
     a_max = a.max(axis=axis, keepdims=True)
     top = a == a_max
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -72,37 +65,48 @@ def _logsumexp_into(a: np.ndarray, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
+def _block_logsumexp(t: np.ndarray) -> np.ndarray:
+    """log sum_i e^{t_ji} of each row j of a 2-D block, log sum_i e^{t_ji - max_j}
+    + max_j in four passes (max, then subtract, exp and sum in place): t ends as
+    e^{t_ji - max_j}.  A row whose maximum is not finite sums to that maximum."""
+    t_max = t.max(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf where a row's maximum is infinite
+        np.exp(np.subtract(t, t_max[:, None], out=t), out=t)
+        return np.where(np.isfinite(t_max), np.log(t.sum(axis=1)) + t_max, t_max)
+
+
 def _banded_logsumexp(term, n_rows: int, n_cols: int):
-    """log sum_i e^{t_ji} for every row j of an n_rows x n_cols exponent
-    matrix t, and a bound on the mass left out relative to the kept sum.
+    """log sum_i e^{t_ji} for every row j of an n_rows x n_cols exponent matrix
+    t, each row summed once, and a bound on the mass left out relative to it.
 
     ``term(rows, cols)`` returns the block of t on two slices as a new array,
-    which the sum overwrites.  t must have increasing differences, t_ji - t_ji'
-    nondecreasing in j for i > i'; any 2 x_j y_i + a_j + b_i with x and y
-    sorted ascending has them.  A matrix of at most _BUDGET entries is summed
-    whole.  Otherwise the edge rows j0 < j1 of each block are summed in full,
-    and their bands (the columns within e^-_CUT of the row's largest term, at
-    p0 and p1) span the block's band [lo, hi]; the rows between are summed on
-    it alone, at most _BUDGET entries at a time.  For j0 <= j <= j1,
-    increasing differences give t_ji - t_jp0 <= t_j0i - t_j0p0 for i < lo and
-    t_ji - t_jp1 <= t_j1i - t_j1p1 for i > hi, so row j leaves out at most
-    sum_{i<lo} e^{t_j0i - t_j0p0} + sum_{i>hi} e^{t_j1i - t_j1p1} of its kept
-    sum.  The largest such bound is returned; above _TAIL_LIMIT the sum is
-    refused with ArithmeticError.
+    in either layout, which _block_logsumexp overwrites.  t must have
+    increasing differences, t_ji - t_ji' nondecreasing in j for i > i'; any
+    2 x_j y_i + a_j + b_i with x and y sorted ascending has them.  A matrix of
+    at most _BUDGET entries is summed whole.  Otherwise the edge rows j0 < j1
+    of each block are summed in full, and their bands (the columns within
+    e^-_CUT of the row's largest term, at p0 and p1) span the block's band
+    [lo, hi]; the rows between are summed on it alone, at most _BUDGET entries
+    at a time.  For j0 <= j <= j1, increasing differences give t_ji - t_jp0 <=
+    t_j0i - t_j0p0 for i < lo and t_ji - t_jp1 <= t_j1i - t_j1p1 for i > hi, so
+    row j leaves out at most sum_{i<lo} e^{t_j0i - t_j0p0} + sum_{i>hi}
+    e^{t_j1i - t_j1p1} of its kept sum, read off the edge rows' summed terms.
+    The largest bound is returned; above _TAIL_LIMIT the sum is refused with
+    ArithmeticError.
 
     A block of s rows costs about s (w + s v) + n_cols + _BLOCK_COST entries,
     w the band width and v the columns its peak moves per row, so the next
     block takes s = sqrt((n_cols + _BLOCK_COST) / v) rows, v measured on the
     last block, and at most twice as many rows as the last."""
     if n_rows * n_cols <= _BUDGET:
-        return _logsumexp_into(term(slice(None), slice(None)), 1), 0.0
+        return _block_logsumexp(term(slice(None), slice(None))), 0.0
     out = np.empty(n_rows)
 
-    def edge(j):  # row j in full: its exponents, the peak and the band
+    def edge(j):  # row j in full: e^{t_ji - t_jp}, the peak p and the band
         e = term(slice(j, j + 1), slice(None))[0]
-        out[j] = logsumexp(e)
         p = int(np.argmax(e))
         band = np.flatnonzero(~(e < e[p] - _CUT))  # NaN keeps every column
+        out[j] = _block_logsumexp(e[None])[0]
         return e, p, band[0], band[-1] + 1
 
     j0, (e0, p0, lo0, hi0) = 0, edge(0)
@@ -114,9 +118,8 @@ def _banded_logsumexp(term, n_rows: int, n_cols: int):
         rows = max(1, _BUDGET // (hi - lo))
         for j in range(j0 + 1, j1, rows):
             block = slice(j, min(j + rows, j1))
-            out[block] = _logsumexp_into(term(block, slice(lo, hi)), 1)
-        left_out = np.sum(np.exp(e0[:lo] - e0[p0])) + np.sum(np.exp(e1[hi:] - e1[p1]))
-        tail = max(tail, float(left_out))
+            out[block] = _block_logsumexp(term(block, slice(lo, hi)))
+        tail = max(tail, float(np.sum(e0[:lo]) + np.sum(e1[hi:])))
         fit = math.isqrt((n_cols + _BLOCK_COST) * (j1 - j0) // max(p1 - p0, 1))
         step = max(1, min(2 * step, fit))
         j0, e0, p0, lo0, hi0 = j1, e1, p1, lo1, hi1
@@ -173,7 +176,7 @@ def _log_rho(u, phi, m: int, log_norms: np.ndarray):
     ks = np.arange(len(log_norms))
 
     def term(j, k):
-        t = np.multiply.outer(u[j], 2.0 * ks[k])
+        t = np.multiply.outer(2.0 * ks[k], u[j]).T  # column-major: points contiguous
         t -= c[j, None]
         t -= log_norms[k]
         return t

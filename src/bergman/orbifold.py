@@ -239,15 +239,19 @@ def _brent_min(f, a: float, b: float, xatol: float):
 def _ray(w: CyclicWeights, r: np.ndarray):
     """f(x) = rho(sqrt(x r)), x = t^2, on the ray z = t sqrt(r): _fold of e^{x a_j}
     cos(x b_j), the closed form's rows j <= q/2 at s = r formed once.  f takes a float,
-    or a 1-D array in blocks of at most _BLOCK_TERMS terms, each value the
-    float's bit for bit; at x = 1 it is rho_closed's at |z|^2 = r bit for bit."""
+    or a 1-D array of x >= 0 in blocks of at most _BLOCK_TERMS terms, less those 0 at a
+    block's least x: each value the float's bit for bit, at x = 1 rho_closed's at |z|^2 = r."""
     a, b = (v[0] for v in _rows(w, r[None], w.q // 2 + 1))
-    block = max(1, _BLOCK_TERMS // len(a))
+    block, a_min = max(1, _BLOCK_TERMS // len(a)), a.min()
 
     def f(x):
-        if np.ndim(x) == 1:  # as columns, block by block
+        if (dim := np.ndim(x)) == 1:  # as columns, block by block
             return np.concatenate([f(x[i:i + block, None]) for i in range(0, len(x), block)])
-        return _fold(w.q, np.exp(x * a) * np.cos(x * b))
+        if dim == 0 or (x_min := x.min()) * a_min > -700.0:  # no e^{x a_j} is 0
+            return _fold(w.q, np.exp(x * a) * np.cos(x * b))
+        terms, live = np.zeros((len(x), len(a))), np.exp(x_min * a) > 0
+        terms[:, live] = np.exp(x * a[live]) * np.cos(x * b[live])
+        return _fold(w.q, terms)
     return f
 
 

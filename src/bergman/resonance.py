@@ -133,24 +133,25 @@ def find_subunity_point(w: CyclicWeights, cert: ResonanceCertificate,
 
     The closed form carries pi inside the exponent, so the oscillatory phase
     at t is pi t^2 sin_sum; t_k lands it on (2k+1) pi, where the dominant
-    character contributes -1.  The phases are formed one at a time, and the
-    first, in order, whose ray sum and rho_closed are below 1 is the witness.
-    Else it is min_on_ray's scan of (0, t_0], the stretch before the first
-    phase, with 2048 nodes and Brent refinement (k = -1), whatever k_max is;
-    ArithmeticError names that minimum if it is not below 1 either.  A
-    witness's rho is rho_closed at its point.
+    character contributes -1.  The ray sum reads the phases in blocks of 1, 2,
+    4, ... up to 1024; the first phase whose ray sum and rho_closed are below 1
+    is the witness.  Else it is min_on_ray's 2048-node scan of (0, t_0] with
+    Brent refinement (k = -1), whatever k_max is, or ArithmeticError naming
+    that minimum if it is not below 1 either.  A witness's rho is rho_closed's.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    r = np.asarray(cert.r, dtype=float)
-    if abs(cert.sin_sum) < SIN_MIN:
+    r, s = np.asarray(cert.r, dtype=float), abs(cert.sin_sum)
+    if s < SIN_MIN:
         raise ValueError("certificate sine sum too small")
-    sq, f = np.sqrt(r), _ray(w, r)
-    for k in range(k_max + 1):  # the first phase rho_closed confirms
-        t = math.sqrt((2.0 * k + 1.0) / abs(cert.sin_sum))
-        if f(t * t) < 1.0 and (rho := rho_closed(w, t * sq)) < 1.0:
-            return SubUnityWitness(tuple(map(complex, t * sq)), rho, k, t)
-    t_star, rho_star = min_on_ray(w, r, math.sqrt(1.0 / abs(cert.sin_sum)), nodes=2048)
+    sq, f, k = np.sqrt(r), _ray(w, r), 0
+    while k <= k_max:  # phases k .. 2k, at most 1024 of them
+        ts = np.sqrt(np.arange(2 * k + 1, 2 * min(2 * k + 1, k + 1024, k_max + 1), 2) / s)
+        for i, v in enumerate(f(ts * ts).tolist()):  # the first phase rho_closed confirms
+            if v < 1.0 and (rho := rho_closed(w, z := ts[i] * sq)) < 1.0:
+                return SubUnityWitness(tuple(map(complex, z)), rho, k + i, float(ts[i]))
+        k += len(ts)
+    t_star, rho_star = min_on_ray(w, r, math.sqrt(1.0 / s), nodes=2048)
     if not rho_star < 1.0:
         raise ArithmeticError(f"no sub-unity point found; best rho = {rho_star!r}")
     return SubUnityWitness(tuple(map(complex, t_star * sq)), rho_star, -1, t_star)

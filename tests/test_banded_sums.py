@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,6 +117,87 @@ def test_band_holds_every_term_above_the_cut(table, m):
             left_out = np.r_[t[j, :c.start], t[j, c.stop:]]
             assert np.sum(np.exp(left_out - out[j])) <= tail * (1.0 + 1e-12)
         assert np.all(np.abs(out - logsumexp(t, axis=1)) <= REL * np.maximum(1.0, np.abs(out)))
+
+
+def close_to_scipy(got, want):
+    """Within REL of SciPy's logsumexp, relative to max(1, |value|), and equal
+    to it where it is not finite."""
+    inf = ~np.isfinite(want)
+    return (np.array_equal(got[inf], want[inf]) and
+            np.all(np.abs(got[~inf] - want[~inf]) <= REL * np.maximum(1.0, np.abs(want[~inf]))))
+
+
+def banded_matrix(y, b=0.0):
+    """2 x_j y_i + b_i for 300 rows with x ascending: increasing differences for
+    y ascending, terms up to e^800, so a sum that does not shift by the row
+    maximum overflows."""
+    return np.multiply.outer(np.linspace(0.0, 10.0, 300), 2.0 * y) + b
+
+
+def test_block_sum_with_tied_maxima():
+    t = np.array([[750.0, 750.0, 749.0, 700.0], [-800.0, -801.0, -800.0, -800.0],
+                  [3.0, 3.0, 3.0, 3.0], [0.0, -1e-300, 0.0, -40.0]])
+    block = t.copy()
+    assert close_to_scipy(kernels._block_logsumexp(block), logsumexp(t, axis=1))
+    # the block ends as e^{t - row max}, the terms an edge row's left-out bound reads
+    assert np.allclose(block, np.exp(t - t.max(axis=1, keepdims=True)), rtol=1e-15, atol=0.0)
+    # banded: every column of y appears twice, so each row's maximum is tied
+    t = banded_matrix(np.repeat(np.linspace(0.0, 40.0, 200), 2))
+    out, tail, cols = recorded_sum(t)
+    assert sorted(cols) == list(range(300)) and 0.0 < tail <= 1e-16
+    assert close_to_scipy(out, logsumexp(t, axis=1))
+
+
+def test_block_sum_with_minus_inf_entries():
+    inf = math.inf
+    t = np.array([[-inf, 1.0, 1.0, -inf], [-inf] * 4, [inf, 1.0, -inf, 0.0],
+                  [-inf, -760.0, -761.0, -inf], [800.0, -inf, 799.0, 798.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = logsumexp(t, axis=1)
+    assert close_to_scipy(kernels._block_logsumexp(t.copy()), want)
+    # banded: a column of -inf terms inside every band, and one at each edge
+    b = np.zeros(700)
+    b[[0, 350, 699]] = -inf
+    t = banded_matrix(np.linspace(0.0, 40.0, 700), b)
+    out, tail, cols = recorded_sum(t)
+    assert sorted(cols) == list(range(300)) and 0.0 < tail <= 1e-16
+    assert close_to_scipy(out, logsumexp(t, axis=1))
+
+
+def test_point_blocks_column_major(monkeypatch):
+    # the kernel sum hands the block sum column-major blocks (the points
+    # contiguous), each summed to SciPy's value
+    blocks, block_sum = [], kernels._block_logsumexp
+
+    def checked(t):
+        blocks.append(t.shape)
+        assert t.shape[0] == 1 or t.flags.f_contiguous
+        want = logsumexp(t, axis=1)
+        got = block_sum(t)
+        assert close_to_scipy(got, want)
+        return got
+    table = build_potential(PROFILES["cone10"]())
+    log_norms = log_monomial_norms(table, 400)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_block_logsumexp", checked)
+        kernel_area_integral(table, 400, log_norms)
+    assert sum(rows > 1 and n > 1 for rows, n in blocks) > 1
+    # a column-major term through the banded sum equals the row-major one
+    t = banded_matrix(np.linspace(0.0, 40.0, 700))
+    out_f, tail_f = kernels._banded_logsumexp(lambda r, c: np.array(t[r, c], order="F"), *t.shape)
+    out_c, tail_c = kernels._banded_logsumexp(lambda r, c: np.array(t[r, c], order="C"), *t.shape)
+    assert tail_f == tail_c and close_to_scipy(out_f, logsumexp(t, axis=1))
+    assert np.all(np.abs(out_f - out_c) <= REL * np.abs(out_c))
+
+
+@pytest.mark.parametrize("m", [1, 400])  # summed whole, and banded
+@pytest.mark.parametrize("field", [1, 2], ids=["u", "phi"])
+def test_nan_in_rule_does_not_converge(m, field):
+    table = build_potential(round_sphere())
+    nodes = [a.copy() for a in table.nodes]
+    nodes[field][len(nodes[field]) // 2] = math.nan
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        log_monomial_norms(SimpleNamespace(nodes=tuple(nodes), d=table.d), m)
 
 
 def test_points_outside_the_profile_rejected():
