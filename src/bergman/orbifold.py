@@ -242,14 +242,14 @@ def _ray(w: CyclicWeights, r: np.ndarray):
     or a 1-D array of x >= 0 in blocks of at most _BLOCK_TERMS terms, less those 0 at a
     block's least x: each value the float's bit for bit, at x = 1 rho_closed's at |z|^2 = r."""
     a, b = (v[0] for v in _rows(w, r[None], w.q // 2 + 1))
-    block, a_min = max(1, _BLOCK_TERMS // len(a)), a.min()
+    block = max(1, _BLOCK_TERMS // len(a))
 
     def f(x):
-        if (dim := np.ndim(x)) == 1:  # as columns, block by block
+        if not (one := isinstance(x, float)) and x.ndim == 1:  # as columns, block by block
             return np.concatenate([f(x[i:i + block, None]) for i in range(0, len(x), block)])
-        if dim == 0 or (x_min := x.min()) * a_min > -700.0:  # no e^{x a_j} is 0
+        if one or math.exp((x_min := x.min()) * a.min()) != 0.0:  # no e^{x_min a_j} is 0
             return _fold(w.q, np.exp(x * a) * np.cos(x * b))
-        terms, live = np.zeros((len(x), len(a))), np.exp(x_min * a) > 0
+        terms, live = np.zeros((len(x), len(a))), np.exp(x_min * a) > 0  # 0 at x_min, 0 after
         terms[:, live] = np.exp(x * a[live]) * np.cos(x * b[live])
         return _fold(w.q, terms)
     return f

@@ -133,25 +133,27 @@ def find_subunity_point(w: CyclicWeights, cert: ResonanceCertificate,
 
     The closed form carries pi inside the exponent, so the oscillatory phase
     at t is pi t^2 sin_sum; t_k lands it on (2k+1) pi, where the dominant
-    character contributes -1.  The ray sum reads the phases in blocks of 1, 2,
-    4, ... up to 1024; the first phase whose ray sum and rho_closed are below 1
-    is the witness.  Else it is min_on_ray's 2048-node scan of (0, t_0] with
-    Brent refinement (k = -1), whatever k_max is, or ArithmeticError naming
-    that minimum if it is not below 1 either.  A witness's rho is rho_closed's.
+    character contributes -1.  The ray sum reads phase 0 alone, then blocks of
+    2, 4, ... up to 1024 phases; the first phase whose ray sum and rho_closed
+    are below 1 is the witness.  Else it is min_on_ray's 2048-node scan of
+    (0, t_0], Brent-refined (k = -1), whatever k_max is, or ArithmeticError
+    naming that minimum if not below 1 either.  A witness's rho is rho_closed's.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     r, s = np.asarray(cert.r, dtype=float), abs(cert.sin_sum)
     if s < SIN_MIN:
         raise ValueError("certificate sine sum too small")
-    sq, f, k = np.sqrt(r), _ray(w, r), 0
+    sq, f, t, k = np.sqrt(r), _ray(w, r), math.sqrt(1.0 / s), 1
+    if f(t * t) < 1.0 and (rho := rho_closed(w, z := t * sq)) < 1.0:  # phase 0
+        return SubUnityWitness(tuple(map(complex, z)), rho, 0, t)
     while k <= k_max:  # phases k .. 2k, at most 1024 of them
         ts = np.sqrt(np.arange(2 * k + 1, 2 * min(2 * k + 1, k + 1024, k_max + 1), 2) / s)
         for i, v in enumerate(f(ts * ts).tolist()):  # the first phase rho_closed confirms
             if v < 1.0 and (rho := rho_closed(w, z := ts[i] * sq)) < 1.0:
                 return SubUnityWitness(tuple(map(complex, z)), rho, k + i, float(ts[i]))
         k += len(ts)
-    t_star, rho_star = min_on_ray(w, r, math.sqrt(1.0 / s), nodes=2048)
+    t_star, rho_star = min_on_ray(w, r, t, nodes=2048)
     if not rho_star < 1.0:
         raise ArithmeticError(f"no sub-unity point found; best rho = {rho_star!r}")
     return SubUnityWitness(tuple(map(complex, t_star * sq)), rho_star, -1, t_star)

@@ -374,6 +374,15 @@ class TestRayFunction:
         x = np.linspace(0.0, 40.0, 2048)
         assert np.all(f(x) == [f(v) for v in x.tolist()])
 
+    def test_blocks_leave_out_only_vanished_terms(self):
+        # past x ~ 80 some e^{x a_j} of this ray are 0, and a block forms only the others
+        w, r = make_cyclic_weights([(1, 8), (2, 45)]), np.array([1.0, 0.5])
+        a, _ = orbifold._rows(w, r[None], w.q // 2 + 1)
+        x = np.linspace(0.0, 400.0, 2048)
+        assert np.exp(x[-362] * a.min()) == 0.0 < np.exp(x[-362] * a[a < 0].max())
+        f = orbifold._ray(w, r)
+        assert np.all(f(x) == [f(v) for v in x.tolist()])
+
     def test_returned_values_are_rho_closed(self):
         from bergman.resonance import construct_certificate, find_subunity_point
 
