@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelField, log_factorials
+from .kernels import _EXP_FLOOR, KernelField, log_factorials
 from .models import PerturbedPotential
 
 __all__ = [
@@ -155,8 +155,12 @@ def _correction_matrix(model: GramModel) -> np.ndarray:
     A = np.fft.rfft(W, axis=1) * (2.0 * math.pi / nt)
     if m > nt // 2:
         A = np.hstack((A, A[:, nt // 2 - 1:0:-1].conj()))
-    # z^i conj(z)^j carries rho^(i+j) e^{-i (j-i) theta}: C_ij = M[i+j, j-i]
-    P = wr[:, None] * rho[:, None] ** np.arange(2 * m + 1)
+    # z^i conj(z)^j carries rho^(i+j) e^{-i (j-i) theta}: C_ij = M[i+j, j-i];
+    # P = wr rho^k is an exact 0 below e^_EXP_FLOOR, so it holds no subnormal
+    k = np.arange(2 * m + 1)
+    P = np.power(rho[:, None], k, out=np.zeros((len(rho), k.size)),
+                 where=k < ((_EXP_FLOOR - np.log(wr)) / np.log(rho))[:, None])
+    P *= wr[:, None]
     M = P.T @ A[:, :m + 1]
     i, j = np.indices((m + 1, m + 1))
     C = M[i + j, np.abs(j - i)]

@@ -9,9 +9,11 @@ where 2ku - 2 pi m phi peaks, rho_m at a point on the k near its moment-map
 value.  _banded_logsumexp sums either in blocks of about _BUDGET entries,
 each only over the columns within e^-_CUT of its edge rows' largest terms;
 a kernel block is column-major, so its sums run along the contiguous points.
-Blocks are summed in place in four passes, and the edge rows' exponentiated
-terms bound the mass left out; a bound above _TAIL_LIMIT is refused, and a
-KernelField carries the largest of the rest as ``tail_bound``.
+Blocks are summed in place, shifted exponents floored at _EXP_FLOOR = -700
+(np.exp's vector loop ends near -707.7; e^-700 is far below half an ulp of
+a row sum >= 1), and the edge rows' terms bound the mass left out; a bound
+above _TAIL_LIMIT is refused, and a KernelField carries the largest of the
+rest as ``tail_bound``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ _BUDGET = 1 << 16  # entries per temporary of a banded sum
 _BLOCK_COST = 1 << 12  # a block's fixed cost (edge-row work, calls) in entries
 _CUT = 45.0  # a band holds the terms within e^-_CUT of its edge rows' largest
 _TAIL_LIMIT = 1e-16  # largest bound on the relative mass a band may leave out
+_EXP_FLOOR = -700.0  # least shifted exponent a block sum passes to np.exp
 
 
 def log_factorials(n: int) -> np.ndarray:
@@ -67,9 +70,15 @@ def logsumexp(a, axis=None):
 
 def _block_logsumexp(t: np.ndarray) -> np.ndarray:
     """log sum_i e^{t_ji} of each row j of a 2-D block, log sum_i e^{t_ji - max_j}
-    + max_j in four passes (max, then subtract, exp and sum in place): t ends as
-    e^{t_ji - max_j}.  A row whose maximum is not finite sums to that maximum."""
+    + max_j in place (max, subtract, floor, exp, sum): t ends as e^{t_ji - max_j}
+    raised to e^_EXP_FLOOR, so a bound read off it only grows.  np.exp leaves its
+    vector loop below about -707.7; the floor moves no bit, as each row's largest
+    term is 1 and e^-700 < 1e-304 is far below half an ulp of the row sum.  A
+    row whose maximum is not finite sums to that maximum."""
     t_max = t.max(axis=1)
+    if np.isfinite(t_max).all():
+        np.maximum(np.subtract(t, t_max[:, None], out=t), _EXP_FLOOR, out=t)
+        return np.log(np.exp(t, out=t).sum(axis=1)) + t_max
     with np.errstate(invalid="ignore"):  # inf - inf where a row's maximum is infinite
         np.exp(np.subtract(t, t_max[:, None], out=t), out=t)
         return np.where(np.isfinite(t_max), np.log(t.sum(axis=1)) + t_max, t_max)

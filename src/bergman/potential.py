@@ -66,7 +66,7 @@ def _interp(edges, v, r):
         k = np.where(hit.any(axis=1, keepdims=True), hit, _BARY / np.where(hit, 1.0, d))
     else:
         k = np.divide(_BARY, d, out=d)
-    return np.einsum("nj,knj->kn", k, v[:, p]) / k.sum(axis=1)
+    return np.einsum("nj,knj->kn", k, np.take(v, p, axis=1)) / k.sum(axis=1)
 
 
 def _logs(r, q, slopes, a_L):

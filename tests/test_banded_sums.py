@@ -190,6 +190,74 @@ def test_point_blocks_column_major(monkeypatch):
     assert np.all(np.abs(out_f - out_c) <= REL * np.abs(out_c))
 
 
+VECTOR_EXP_BOUND = -707.7  # below about this, numpy's exp leaves its vector loop
+
+
+class ExpRecorder:
+    """numpy for kernels.py, with np.exp recording the least argument of each call."""
+
+    def __init__(self):
+        self.least = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.least.append(float(np.min(x)))
+        return np.exp(x, *args, **kwargs)
+
+
+def test_no_exp_argument_below_the_floor(monkeypatch):
+    # every np.exp inside a banded sum of the sweep's cells (k 10, 40 x m 25,
+    # 100, 400) sees arguments at or above the floor, and some at it
+    assert VECTOR_EXP_BOUND < kernels._EXP_FLOOR <= -700.0
+    exp, least, block_sum = ExpRecorder(), [], kernels._block_logsumexp
+
+    def recorded(t):
+        n = len(exp.least)
+        out = block_sum(t)
+        least.extend(exp.least[n:])
+        return out
+    monkeypatch.setattr(kernels, "np", exp)
+    monkeypatch.setattr(kernels, "_block_logsumexp", recorded)
+    bergman.cone_sweep([10, 40], [25, 100, 400])
+    assert len(least) > 100 and min(least) == kernels._EXP_FLOOR
+
+
+def four_pass_block_sum(t):
+    """The block sum without a floor: max, then subtract, exp and sum in place."""
+    t_max = t.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        np.exp(np.subtract(t, t_max[:, None], out=t), out=t)
+        return np.where(np.isfinite(t_max), np.log(t.sum(axis=1)) + t_max, t_max)
+
+
+def test_floor_moves_no_bit_of_a_block_sum():
+    # hostile blocks: 400 rows of 1 to 2000 terms spread down to 1e4 below
+    # their peak, so most lie under the floor; then -inf entries, whole
+    # +-inf and -inf rows and NaN, which take the branch for infinite maxima
+    rng = np.random.default_rng(29)
+    inf = math.inf
+    blocks = []
+    for n in (1, 7, 64, 2000):
+        t = rng.uniform(-50.0, 50.0, (400, 1)) - rng.uniform(0.0, 1.0, (400, n)) ** 3 * 1e4
+        assert n == 1 or np.mean(t - t.max(axis=1, keepdims=True) < -708.0) > 0.5
+        blocks.append(t)
+        t = t.copy()
+        t[rng.random(t.shape) < 0.2] = -inf
+        t[:, 0] = np.maximum(t[:, 0], 0.0)  # keep every maximum finite
+        blocks.append(t)
+        t = t.copy()
+        t[5], t[9], t[17, 0], t[33] = inf, -inf, math.nan, -inf
+        t[33, -1] = inf
+        blocks.append(t)
+    for t in blocks:
+        for order in "CF":
+            want = four_pass_block_sum(np.array(t, order=order))
+            got = kernels._block_logsumexp(np.array(t, order=order))
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("m", [1, 400])  # summed whole, and banded
 @pytest.mark.parametrize("field", [1, 2], ids=["u", "phi"])
 def test_nan_in_rule_does_not_converge(m, field):

@@ -119,6 +119,23 @@ def _whole_grid_fields(pert, rho, n_theta):
     return (*gram._phi_density(pert, x, y, rho[:, None]), np.arange(n_theta))
 
 
+class _PowerRecorder:
+    """numpy for gram.py, with np.power recording each array it returns; with
+    plain=True it forms every power, as rho[:, None] ** k, out= and where=
+    ignored."""
+
+    def __init__(self, plain=False):
+        self.plain, self.made = plain, []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def power(self, x, k, out=None, where=True):
+        p = x ** k if self.plain else np.power(x, k, out=out, where=where)
+        self.made.append(p)
+        return p
+
+
 def _gram_mpmath(m, k, n_theta):
     """G_ij = delta_ij + s_i s_j int z^i conj(z)^j (1+|z|^2)^-m [e^{m phi} D - D_0]
     over the unit disc, s_k^2 = (m+1)!/(k!(m-k)!), in 30-digit arithmetic:
@@ -688,6 +705,23 @@ class TestGram:
             assert C == C_ref if isinstance(C, str) else C.tobytes() == C_ref.tobytes()
             assert vals.tobytes() == vals_ref.tobytes() and w.tobytes() == w_ref.tobytes()
         assert isinstance(got[0][0], str) == (k == 1 or k == 2)  # D < 0 somewhere for k <= 2
+
+    @pytest.mark.parametrize("m", [64, 128, 300])
+    def test_radial_powers_without_subnormals(self, m, monkeypatch):
+        # the correction's P = wr rho^k holds exact zeros where every power
+        # formed would underflow, and no subnormal; G keeps the bits of the
+        # plain powers, subnormals and all
+        model = GramModel(m, PerturbedPotential(6))
+        powers = _PowerRecorder()
+        monkeypatch.setattr(gram, "np", powers)
+        G = gram_matrix(model)
+        (P,) = powers.made  # scaled by wr in place
+        assert np.all((P == 0.0) | (np.abs(P) >= np.finfo(float).tiny)) and np.any(P == 0.0)
+        plain = _PowerRecorder(plain=True)
+        monkeypatch.setattr(gram, "np", plain)
+        assert gram_matrix(model).tobytes() == G.tobytes()
+        (P_plain,) = plain.made
+        assert np.any((P_plain != 0.0) & (np.abs(P_plain) < np.finfo(float).tiny))
 
     def test_gram_entries_match_mpmath(self):
         # every entry of G at m = 8, k = 6 against the same integral in
