@@ -217,6 +217,9 @@ def _cmd_lp(p):
     if not pexp >= 1:  # lp_deviation's own check, before the field is computed
         raise ValueError("p must be >= 1 (or inf)")
     if p["pert"]:
+        if (p["profile"], p["d"], p["k"]) != ("round", 1, None):  # options it would ignore
+            raise ValueError("--pert perturbs the degree-1 round sphere: it takes no --k, "
+                             "no --profile but round and no --d but 1")
         model = GramModel(m, PerturbedPotential(p["pert"]))
         G = gram_matrix(model)
         fld = rho_gram_field(model, G)

@@ -6,7 +6,9 @@ potential (supported in the unit disc of the affine chart) adds a correction
 integral on a polar grid, its integrand formed on the first octant's angles
 for both signs of phi and gathered once into angle order.  The Gram matrix
 and the kernel's quadratic form are both taken in the one basis
-e_k = z^k / sqrt(N_k^FS), with one Cholesky factor per model.
+e_k = z^k / sqrt(N_k^FS).  The perturbation is even under z -> -z, so the
+Gram matrix is 0 between even and odd powers: after it is formed, the path
+runs on its two parity blocks, with one Cholesky factor per block.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ class GramModel:
     d mu the perturbed area form; quadrature for the correction runs on an
     n_r x n_theta polar tensor grid over the perturbation's support, its
     angles and fields taken on the first octant: n_theta is a multiple of 8
-    and, with a perturbation, above m, the highest harmonic the grid must hold."""
+    and, with a perturbation, above m, the highest harmonic the grid must hold.
+    The weight is even under z -> -z: z^i and z^j with i + j odd are orthogonal."""
 
     m: int
     pert: PerturbedPotential | None = None
@@ -98,6 +101,7 @@ def perturbed_scalar_curvature(pert: PerturbedPotential | None, x: float, y: flo
 
 # (nodes, weights) on [-1, 1]; every caller shares them and none writes to them
 _gauss = functools.lru_cache(np.polynomial.legendre.leggauss)
+_BLOCKS = {"even": slice(0, None, 2), "odd": slice(1, None, 2)}  # the parity blocks of e_k
 
 
 def _panels(edges, counts):
@@ -155,16 +159,17 @@ def _correction_matrix(model: GramModel) -> np.ndarray:
     A = np.fft.rfft(W, axis=1) * (2.0 * math.pi / nt)
     if m > nt // 2:
         A = np.hstack((A, A[:, nt // 2 - 1:0:-1].conj()))
-    # z^i conj(z)^j carries rho^(i+j) e^{-i (j-i) theta}: C_ij = M[i+j, j-i];
-    # P = wr rho^k is an exact 0 below e^_EXP_FLOOR, so it holds no subnormal
-    k = np.arange(2 * m + 1)
+    # z^i conj(z)^j carries rho^(i+j) e^{-i (j-i) theta}: C_ij = M[i+j, j-i],
+    # formed for even i + j only: W is even under z -> -z, so C_ij = 0 for i + j
+    # odd.  P = wr rho^k is an exact 0 below e^_EXP_FLOOR: it holds no subnormal
+    k = np.arange(0, 2 * m + 1, 2)
     P = np.power(rho[:, None], k, out=np.zeros((len(rho), k.size)),
                  where=k < ((_EXP_FLOOR - np.log(wr)) / np.log(rho))[:, None])
     P *= wr[:, None]
-    M = P.T @ A[:, :m + 1]
+    M = P.T @ A[:, :m + 1:2]
     i, j = np.indices((m + 1, m + 1))
-    C = M[i + j, np.abs(j - i)]
-    return np.where(j > i, C, C.conj())
+    C = M[(i + j) // 2, np.abs(j - i) // 2]
+    return np.where((i + j) % 2, 0.0, np.where(j > i, C, C.conj()))
 
 
 def _finite(a, what: str):
@@ -186,12 +191,21 @@ def gram_matrix(model: GramModel) -> np.ndarray:
 
 
 def _inverse_factor(G: np.ndarray) -> np.ndarray:
-    """L^{-1} for the lower Cholesky factor L of G, which must exist."""
-    try:
-        return np.linalg.inv(np.linalg.cholesky(G))
-    except np.linalg.LinAlgError as e:  # a ValueError, which would read as bad input
-        raise ArithmeticError("Gram matrix not positive definite (smallest eigenvalue "
-                              f"{np.linalg.eigvalsh(G)[0]:.3e})") from e
+    """L^{-1} for the lower Cholesky factor L of G, which must exist: G is 0
+    where i + j is odd (a G that is not is refused), so L^{-1} is too, and
+    each parity block of it is the inverse Cholesky factor of G's block."""
+    i, j = np.indices(G.shape)
+    if np.any(G[(i + j) % 2 == 1]):
+        raise ValueError("Gram matrix couples even and odd powers")
+    L_inv = np.zeros_like(G)
+    for name, b in _BLOCKS.items():
+        try:
+            L_inv[b, b] = np.linalg.inv(np.linalg.cholesky(G[b, b]))
+        except np.linalg.LinAlgError as e:  # a ValueError, which would read as bad input
+            lam = np.linalg.eigvalsh(G[b, b])[0]
+            raise ArithmeticError(f"Gram matrix not positive definite on its {name} block "
+                                  f"(smallest eigenvalue {lam:.3e})") from e
+    return L_inv
 
 
 def _log_frame(m: int, r: np.ndarray) -> np.ndarray:
@@ -234,19 +248,23 @@ def rho_gram_field(model: GramModel, G: np.ndarray | None = None) -> KernelField
     at the cutoff's seams |z| = 1 and 1/2, times the trapezoid rule on 128
     angles.  On a latitude
     v* A v = sum_d c_d e^{i d theta}, c_d = sum_j |e_j| |e_{j+d}| A_{j,j+d}
-    with A = G^{-1}, G = gram_matrix(model) in the basis e_k: one diagonal
-    at a time, then d folded mod n_theta and one inverse FFT.  The recorded
+    with A = G^{-1}, G = gram_matrix(model) in the basis e_k, formed per
+    parity block: one diagonal at a time, even d only (A and c_d are 0 for
+    odd d), then d folded mod n_theta and one inverse FFT.  The recorded
     radius is the FS geodesic distance from the chart origin."""
     if G is None:
         G = gram_matrix(model)
     m, n_lat, n_theta = model.m, 96, 128
-    L_inv = _inverse_factor(G)
-    A = L_inv.conj().T @ L_inv  # (L L^H)^{-1}
+    L_inv, A = _inverse_factor(G), np.zeros_like(G)
+    for b in _BLOCKS.values():
+        A[b, b] = L_inv[b, b].conj().T @ L_inv[b, b]  # (L L^H)^{-1}, block by block
     edges = np.array([1.0, 0.6, 0.0, -1.0])  # t = cos(lat) at |z| = 0, 1/2, 1, inf
     t, wt = _panels(edges, np.diff(np.round(n_lat * (1.0 - edges) / 2.0)).astype(int))
     r = np.sqrt((1.0 - t) / (1.0 + t))
     a = np.exp(_log_frame(m, r))
-    c = np.stack([(a[:, :m + 1 - d] * a[:, d:]) @ np.diagonal(A, d) for d in range(m + 1)], axis=1)
+    c = np.zeros((n_lat, m + 1), dtype=complex)
+    for d in range(0, m + 1, 2):  # A, and with it c_d, is 0 for odd d
+        c[:, d] = (a[:, :m + 1 - d] * a[:, d:]) @ np.diagonal(A, d)
     c[:, 0] = 0.5 * c[:, 0].real  # v* A v = 2 Re sum_{d >= 0} c_d e^{i d theta}, c_0 halved
     c = np.pad(c, ((0, 0), (0, -(m + 1) % n_theta))).reshape(n_lat, -1, n_theta).sum(axis=1)
     phi, D, idx = _octant_fields(model.pert, r, n_theta)

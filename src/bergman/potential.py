@@ -77,12 +77,16 @@ def _logs(r, q, slopes, a_L):
 
 
 def _median_radius(edges, v, r0):
-    """Newton on a(r) = a(L)/2 from r0, 8 steps or until an iterate repeats."""
-    for _ in range(8):
+    """Newton on a(r) = a(L)/2 from r0: the 8th iterate, read off the cycle
+    of ulps once an iterate repeats an earlier one (a fixed point: period 1)."""
+    seen = [r0[0]]
+    for h in range(1, 9):
         psi0, a0 = _interp(edges, v[:2], r0)
-        r0, last = r0 - (a0 - 0.5 * v[1, -1, 0]) / psi0, r0
-        if r0[0] == last[0]:
-            break
+        r0 = r0 - (a0 - 0.5 * v[1, -1, 0]) / psi0
+        if r0[0] in seen:  # iterate e on repeats with period h - e
+            e = seen.index(r0[0])
+            return np.array([seen[e + (8 - e) % (h - e)]])
+        seen.append(r0[0])
     return r0
 
 

@@ -135,6 +135,32 @@ class TestExitCodes:
         assert calls == [] and not out.exists()
         assert "p must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("options", [["--profile", "nonsense"], ["--k", "10"], ["--d", "3"],
+                                         ["--profile", "cone", "--k", "10"],
+                                         ["--profile", "cone", "--d", "1"]])
+    def test_lp_pert_refuses_profile_options(self, options, tmp_path, monkeypatch, capsys):
+        # the perturbed model is the degree-1 round sphere: an artifact whose
+        # config claims another profile would describe what was not computed
+        calls = self._count(monkeypatch, "build_potential", "rho_revolution", "gram_matrix",
+                            "rho_gram_field")
+        out = tmp_path / "l.csv"
+        assert run(["lp", "--m", "8", "--pert", "6", "--out", str(out)] + options) == 2
+        assert calls == [] and not out.exists()
+        assert "--pert perturbs the degree-1 round sphere" in capsys.readouterr().err
+        assert run(["lp", "--m", "8", "--pert", "6", "--profile", "round", "--d", "1"]) == 0
+        assert calls == ["gram_matrix", "rho_gram_field"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["gram", "--m", "8", "--pert", "6", "--z", "0.2"],
+                                      ["lp", "--m", "40", "--pert", "6"]])
+    def test_one_cholesky_per_parity_block(self, argv, monkeypatch, capsys):
+        calls, real = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or real(a))
+        assert run(argv) == 0
+        m = int(argv[2])
+        assert calls == [(m // 2 + 1,) * 2, ((m + 1) // 2,) * 2]
+        capsys.readouterr()
+
     @pytest.mark.parametrize("kmax", ["0", "-2"])
     def test_kmax_refused_before_the_certificate_search(self, kmax, tmp_path, monkeypatch, capsys):
         calls = self._count(monkeypatch, "construct_certificate", "find_subunity_point")

@@ -176,6 +176,56 @@ def _gram_mpmath(m, k, n_theta):
         return G
 
 
+def _full_gram(model):
+    """G from M on every radial power 0..2m and harmonic 0..m, C_ij = M[i+j, |j-i|]
+    at every (i, j): the correction as formed before the parity split."""
+    m, nt = model.m, model.n_theta
+    rho, wr = gram._radial_rule(model.n_r)
+    phi, D, idx = gram._octant_fields(model.pert, rho, nt)
+    s = (rho * rho)[:, None]
+    W = ((1.0 + s) ** (-m) * (np.exp(m * phi) * D - 1.0 / (math.pi * (1.0 + s) ** 2)))[:, idx]
+    A = np.fft.rfft(W, axis=1) * (2.0 * math.pi / nt)
+    if m > nt // 2:
+        A = np.hstack((A, A[:, nt // 2 - 1:0:-1].conj()))
+    k = np.arange(2 * m + 1)
+    P = np.power(rho[:, None], k, out=np.zeros((len(rho), k.size)),
+                 where=k < ((gram._EXP_FLOOR - np.log(wr)) / np.log(rho))[:, None])
+    P *= wr[:, None]
+    M = P.T @ A[:, :m + 1]
+    i, j = np.indices((m + 1, m + 1))
+    C = np.where(j > i, M[i + j, np.abs(j - i)], M[i + j, np.abs(j - i)].conj())
+    sc = np.exp(-0.5 * fs_log_norms(m))
+    return np.eye(m + 1, dtype=complex) + np.outer(sc, sc) * C
+
+
+def _field_every_diagonal(model, G):
+    """rho_gram_field's values from the whole A = L^-H L^-1, L = cholesky(G),
+    and c_d taken on every diagonal d = 0..m."""
+    m, n_lat, n_theta = model.m, 96, 128
+    L_inv = np.linalg.inv(np.linalg.cholesky(G))
+    A = L_inv.conj().T @ L_inv
+    edges = np.array([1.0, 0.6, 0.0, -1.0])
+    t, _ = gram._panels(edges, np.diff(np.round(n_lat * (1.0 - edges) / 2.0)).astype(int))
+    a = np.exp(gram._log_frame(m, np.sqrt((1.0 - t) / (1.0 + t))))
+    c = np.stack([(a[:, :m + 1 - d] * a[:, d:]) @ np.diagonal(A, d) for d in range(m + 1)], axis=1)
+    c[:, 0] = 0.5 * c[:, 0].real
+    c = np.pad(c, ((0, 0), (0, -(m + 1) % n_theta))).reshape(n_lat, -1, n_theta).sum(axis=1)
+    phi, _, idx = gram._octant_fields(model.pert, np.sqrt((1.0 - t) / (1.0 + t)), n_theta)
+    return (2.0 * n_theta * np.fft.ifft(c, axis=1).real * np.exp(m * phi)[:, idx]).ravel()
+
+
+def _odd(G):
+    """The entries of G where i + j is odd."""
+    i, j = np.indices(G.shape)
+    return G[(i + j) % 2 == 1]
+
+
+# (cone k or None for the round sphere, degree d)
+_MEDIAN_PROFILES = {"round": (None, 1), "round_d3": (None, 3), "cone3": (3, 1),
+                    "cone10": (10, 1), "cone20": (20, 1), "cone40": (40, 1),
+                    "cone1e3": (10**3, 1), "cone1e5": (10**5, 1)}
+
+
 def _nested_state(prof, r0, radii):
     """(u, phi) at radii, gauged to vanish at r0, by nested adaptive
     quadrature of the profile alone: a(s) = int_0^s psi inside
@@ -311,6 +361,38 @@ class TestPotential:
         assert got.r_equator == want.r_equator
         for a, b in zip(got.nodes + got.check_nodes, want.nodes + want.check_nodes):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("which", list(_MEDIAN_PROFILES))
+    def test_median_radius_is_the_eighth_newton_iterate(self, which, monkeypatch):
+        # the gauge's Newton iterates settle into cycles of ulps (the round
+        # sphere's half-width rule a 2-cycle, cone k = 3 and 10^5 3-cycles);
+        # the iterate read off the cycle is the 8th, bit for bit
+        k, d = _MEDIAN_PROFILES[which]
+        prof = round_sphere(d) if k is None else rescale_to_area(make_cone_family(k), d)
+        real, seen = potential._median_radius, []
+
+        def eight_steps(edges, v, r0):
+            for _ in range(8):
+                psi0, a0 = potential._interp(edges, v[:2], r0)
+                r0 = r0 - (a0 - 0.5 * v[1, -1, 0]) / psi0
+            return r0
+
+        def both(edges, v, r0):
+            got = real(edges, v, r0)
+            seen.append((got.tobytes(), eight_steps(edges, v, r0).tobytes()))
+            return got
+
+        monkeypatch.setattr(potential, "_median_radius", both)
+        build_potential(prof)
+        assert len(seen) == 2 and all(got == want for got, want in seen)
+
+    def test_round_gauge_takes_few_interpolations(self, monkeypatch):
+        # each rule's Newton loop stops at its first repeated iterate: 1 step
+        # and 2 steps on the round sphere, and one gauge evaluation per rule
+        real, calls = potential._interp, []
+        monkeypatch.setattr(potential, "_interp", lambda *a: calls.append(1) or real(*a))
+        build_potential(round_sphere())
+        assert len(calls) <= 6
 
     def test_neck_profile_inverts(self):
         # psi dips to 0.018 at a neck: du/dr = 1/psi is large there, and the
@@ -722,6 +804,53 @@ class TestGram:
         assert gram_matrix(model).tobytes() == G.tobytes()
         (P_plain,) = plain.made
         assert np.any((P_plain != 0.0) & (np.abs(P_plain) < np.finfo(float).tiny))
+
+    @pytest.mark.parametrize("m", [1, 8, 16, 32, 40, 64, 100, 128, 255, 300, 511])
+    @pytest.mark.parametrize("k", [3, 6, 10])
+    def test_even_blocks_equal_the_full_correction(self, k, m):
+        # the correction formed on even powers and harmonics only, its odd
+        # parity entries set to 0, equals the one formed on all of them bit
+        # for bit, m > n_theta/2 included: phi is even under z -> -z, and the
+        # angular transform's odd harmonics come out exactly 0
+        model = GramModel(m, PerturbedPotential(k))
+        G = gram_matrix(model)
+        assert not np.any(_odd(G))
+        assert G.tobytes() == _full_gram(model).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 8, 40, 128])
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_inverse_factor_by_blocks(self, k, m):
+        # one factor per parity block, interleaved: L^{-1} of the whole G
+        G = gram_matrix(GramModel(m, PerturbedPotential(k)))
+        got, want = gram._inverse_factor(G), np.linalg.inv(np.linalg.cholesky(G))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert not np.any(_odd(got))
+
+    @pytest.mark.parametrize("m", [8, 40, 128])
+    def test_field_equals_every_diagonal(self, m):
+        # c_d is 0 for odd d: the loop over even d and A formed per block
+        # give the values of the whole A on every diagonal
+        model = GramModel(m, PerturbedPotential(6))
+        G = gram_matrix(model)
+        want = _field_every_diagonal(model, G)
+        assert np.max(np.abs(rho_gram_field(model, G).values / want - 1.0)) <= 1e-13
+
+    def test_coupled_parities_refused(self):
+        # a caller's G with an entry where i + j is odd: the blocks would drop it
+        model = GramModel(8, PerturbedPotential(6))
+        G = gram_matrix(model)
+        G[2, 5] = G[5, 2] = 1e-3
+        for f in (lambda: rho_gram(G, model, 0.3), lambda: rho_gram_field(model, G)):
+            with pytest.raises(ValueError, match="couples even and odd powers"):
+                f()
+
+    @pytest.mark.parametrize("block", ["even", "odd"])
+    def test_failed_block_is_named(self, block):
+        G = np.eye(9, dtype=complex)
+        G[gram._BLOCKS[block], gram._BLOCKS[block]] *= -2.0
+        with pytest.raises(ArithmeticError, match=f"not positive definite on its {block} "
+                                                  r"block \(smallest eigenvalue -2.000e\+00\)"):
+            gram._inverse_factor(G)
 
     def test_gram_entries_match_mpmath(self):
         # every entry of G at m = 8, k = 6 against the same integral in

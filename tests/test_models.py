@@ -277,6 +277,16 @@ class TestPerturbedPotential:
         assert abs(pert.phi(z)) <= 4.0 ** -4
         assert pert.phi(1.5 + 0.2j) == 0.0
 
+    @pytest.mark.parametrize("k", [3, 6, 10])
+    def test_even_under_z_to_minus_z(self, k):
+        # phi and its Laplacian are odd in x and in y, so even under z -> -z:
+        # the Gram matrix couples only powers of equal parity
+        pert = PerturbedPotential(k)
+        x, y = np.meshgrid(np.linspace(-1.1, 1.1, 45), np.linspace(-1.1, 1.1, 37))
+        rho = np.hypot(x, y)
+        for a, b in zip(pert.fields(x, y, rho), pert.fields(-x, -y, rho)):
+            assert np.array_equal(a, b) and np.any(a != 0.0)
+
     def test_laplacian_matches_fd(self):
         pert = PerturbedPotential(3)
         h = 1e-5
