@@ -172,7 +172,7 @@ def _cmd_revolution(p):
 
 
 def _scaled_cond(G) -> float:
-    """Condition number of G, the Gram matrix of e_k that the Cholesky factor sees."""
+    """Condition number of G, the real Gram matrix of e_k = w^k / sqrt(N_k^FS)."""
     lam = np.linalg.eigvalsh(G)
     return float(lam[-1] / lam[0])
 
@@ -186,8 +186,7 @@ def _cmd_gram(p):
     rhos = rho_gram(G, model, np.array(zs))
     rows = ["z,rho"] + [f"{z!r},{float(rho)!r}" for z, rho in zip(zs, rhos)]
     if p["dump_gram"]:  # the one second artifact
-        grows = ["i,j,re,im"] + [f"{i},{j},{float(G[i, j].real)!r},{float(G[i, j].imag)!r}"
-                                 for i in range(m + 1) for j in range(m + 1)]
+        grows = ["i,j,g"] + [f"{i},{j},{float(G[i, j])!r}" for i in range(m + 1) for j in range(m + 1)]
         _emit(_header("gram-matrix", p), grows, p["dump_gram"])
     return [f"health: scaled_cond={cond!r}"], rows, f"gram: scaled_cond = {cond:.3e}"
 

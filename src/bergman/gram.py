@@ -4,11 +4,11 @@ The base metric is degree-1 Fubini-Study normalized to area 1, whose Gram
 matrix is diagonal with Beta-function entries.  A perturbation of the
 potential (supported in the unit disc of the affine chart) adds a correction
 integral on a polar grid, its integrand formed on the first octant's angles
-for both signs of phi and gathered once into angle order.  The Gram matrix
-and the kernel's quadratic form are both taken in the one basis
-e_k = z^k / sqrt(N_k^FS).  The perturbation is even under z -> -z, so the
-Gram matrix is 0 between even and odd powers: after it is formed, the path
-runs on its two parity blocks, with one Cholesky factor per block.
+for both signs of phi and gathered once into angle order.  The Gram matrix and
+the kernel's quadratic form are both taken in the one basis e_k = w^k / sqrt(N_k^FS),
+w = e^{-i pi/4} z.  The perturbation is even under x <-> y (w -> conj(w)) and
+z -> -z, so the Gram matrix is real, and 0 between even and odd powers: after it
+is formed, the path runs in float64 on its two parity blocks, one Cholesky factor each.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GramModel:
-    """Monomial basis z^0..z^m on CP^1 with an optional potential perturbation.
+    """Basis w^0..w^m, w = e^{-i pi/4} z, on CP^1 with an optional potential perturbation.
 
     The weight is the FS one, (1+|z|^2)^{-m} e^{m phi} d mu, with the measure
     d mu the perturbed area form; quadrature for the correction runs on an
     n_r x n_theta polar tensor grid over the perturbation's support, its
     angles and fields taken on the first octant: n_theta is a multiple of 8
     and, with a perturbation, above m, the highest harmonic the grid must hold.
-    The weight is even under z -> -z: z^i and z^j with i + j odd are orthogonal."""
+    Even under z -> -z and x <-> y, the weight makes <w^i, w^j> real, and 0 for odd i + j."""
 
     m: int
     pert: PerturbedPotential | None = None
@@ -142,8 +142,8 @@ def _octant_fields(pert: PerturbedPotential | None, rho: np.ndarray, n_theta: in
 
 
 def _correction_matrix(model: GramModel) -> np.ndarray:
-    """C_ij = int z^i conj(z)^j (1+s)^{-m} [e^{m phi} D - D_0] dx dy over the
-    unit disc (basis z^k), on a polar tensor grid with FFT over the angle.
+    """C_ij = int w^i conj(w)^j (1+s)^{-m} [e^{m phi} D - D_0] dx dy over the
+    unit disc (basis w^k), on a polar tensor grid with FFT over the angle.
     D, e^{m phi} and the integrand are formed on the octant's columns for both
     signs, and the integrand gathered once into the FFT's angle order."""
     m = model.m
@@ -154,22 +154,22 @@ def _correction_matrix(model: GramModel) -> np.ndarray:
         raise ValueError(f"area density not positive on the grid (minimum {D.min():.3e})")
     s = (rho * rho)[:, None]
     W = ((1.0 + s) ** (-m) * (np.exp(m * phi) * D - 1.0 / (math.pi * (1.0 + s) ** 2)))[:, idx]
-    # angular transform: A[r, d] = int W e^{-i d theta} d theta; W is real, so
-    # column d > nt/2 is the conjugate of column nt - d
+    # angular transform: A[r, d] = int W e^{-i d theta} d theta.  w^i conj(w)^j
+    # carries rho^(i+j) e^{-i d (theta - pi/4)}, d = j - i, and W is even under
+    # x <-> y: e^{i pi d/4} A_d is real, exactly (1, i, -1, -i)[d/2 mod 4] A_d for
+    # even d, and, W being real, the same at d and nt - d
     A = np.fft.rfft(W, axis=1) * (2.0 * math.pi / nt)
-    if m > nt // 2:
-        A = np.hstack((A, A[:, nt // 2 - 1:0:-1].conj()))
-    # z^i conj(z)^j carries rho^(i+j) e^{-i (j-i) theta}: C_ij = M[i+j, j-i],
-    # formed for even i + j only: W is even under z -> -z, so C_ij = 0 for i + j
-    # odd.  P = wr rho^k is an exact 0 below e^_EXP_FLOOR: it holds no subnormal
+    d = np.minimum(np.arange(0, m + 1, 2), nt - np.arange(0, m + 1, 2))
+    A = (A[:, d] * np.array([1.0, 1j, -1.0, -1j])[d // 2 % 4]).real
+    # C_ij = M[i+j, |j-i|], 0 for odd i + j (W is even under z -> -z).  P = wr rho^k
+    # is an exact 0 below e^_EXP_FLOOR: it holds no subnormal
     k = np.arange(0, 2 * m + 1, 2)
     P = np.power(rho[:, None], k, out=np.zeros((len(rho), k.size)),
                  where=k < ((_EXP_FLOOR - np.log(wr)) / np.log(rho))[:, None])
     P *= wr[:, None]
-    M = P.T @ A[:, :m + 1:2]
+    M = P.T @ A
     i, j = np.indices((m + 1, m + 1))
-    C = M[(i + j) // 2, np.abs(j - i) // 2]
-    return np.where((i + j) % 2, 0.0, np.where(j > i, C, C.conj()))
+    return np.where((i + j) % 2, 0.0, M[(i + j) // 2, np.abs(j - i) // 2])
 
 
 def _finite(a, what: str):
@@ -180,23 +180,23 @@ def _finite(a, what: str):
 
 
 def gram_matrix(model: GramModel) -> np.ndarray:
-    """Hermitian Gram matrix of e_k = z^k / sqrt(N_k^FS), k = 0..m, in the
-    model's weighted L^2 product: the identity plus the correction C_ij s_i s_j,
-    s_k = N_k^FS^{-1/2}; exactly the identity without perturbation."""
-    G = np.eye(model.m + 1, dtype=complex)
+    """Real symmetric Gram matrix of e_k = w^k / sqrt(N_k^FS), w = e^{-i pi/4} z,
+    k = 0..m, in the model's weighted L^2 product: the identity plus the correction
+    C_ij s_i s_j, s_k = N_k^FS^{-1/2}; exactly the identity without perturbation."""
+    G = np.eye(model.m + 1)
     if model.pert is not None:
         s = np.exp(-0.5 * fs_log_norms(model.m))
-        G = G + np.outer(s, s) * _correction_matrix(model)  # s_i s_j is s_j s_i: exactly Hermitian
+        G = G + np.outer(s, s) * _correction_matrix(model)  # s_i s_j is s_j s_i: exactly symmetric
     return _finite(G, "Gram matrix")
 
 
 def _inverse_factor(G: np.ndarray) -> np.ndarray:
-    """L^{-1} for the lower Cholesky factor L of G, which must exist: G is 0
-    where i + j is odd (a G that is not is refused), so L^{-1} is too, and
-    each parity block of it is the inverse Cholesky factor of G's block."""
+    """L^{-1} for the lower Cholesky factor L of G, which must exist: G is real
+    and 0 where i + j is odd (a G that is not is refused), so L^{-1} is too,
+    and each parity block of it is the inverse Cholesky factor of G's block."""
     i, j = np.indices(G.shape)
-    if np.any(G[(i + j) % 2 == 1]):
-        raise ValueError("Gram matrix couples even and odd powers")
+    if np.iscomplexobj(G) or np.any(G[(i + j) % 2 == 1]):
+        raise ValueError("Gram matrix not real, or couples even and odd powers")
     L_inv = np.zeros_like(G)
     for name, b in _BLOCKS.items():
         try:
@@ -230,10 +230,11 @@ def rho_gram(G: np.ndarray, model: GramModel, z):
     Cholesky factor of G, the weight's root folded into v.  One point gives a float,
     an array of points an array of the same shape; |z| > sqrt(max float) is refused."""
     m = model.m
-    zs = np.asarray(z, dtype=complex).ravel()
+    zs = np.ravel(z)
     _check_points(zs)
-    V = np.exp(_log_frame(m, np.abs(zs)) + 1j * np.angle(zs)[:, None] * np.arange(m + 1))
-    W = _inverse_factor(G) @ V.T
+    phase = np.arange(m + 1)[:, None] * (np.angle(zs) - 0.25 * math.pi)  # k arg(w)
+    V = np.exp(_log_frame(m, np.abs(zs)).T + 1j * phase, order="C")
+    W = (_inverse_factor(G) @ V.view(float)).view(complex)  # real L^{-1} on re and im
     phi = 0.0 if model.pert is None else np.asarray(model.pert.phi(zs), dtype=float)
     rho = _finite(np.sum(np.abs(W) ** 2, axis=0) * np.exp(m * phi), "kernel value")
     return float(rho[0]) if np.ndim(z) == 0 else rho.reshape(np.shape(z))
@@ -247,29 +248,29 @@ def rho_gram_field(model: GramModel, G: np.ndarray | None = None) -> KernelField
     The rule is composite Gauss-Legendre in cos(lat) on 96 latitudes, edges
     at the cutoff's seams |z| = 1 and 1/2, times the trapezoid rule on 128
     angles.  On a latitude
-    v* A v = sum_d c_d e^{i d theta}, c_d = sum_j |e_j| |e_{j+d}| A_{j,j+d}
-    with A = G^{-1}, G = gram_matrix(model) in the basis e_k, formed per
-    parity block: one diagonal at a time, even d only (A and c_d are 0 for
-    odd d), then d folded mod n_theta and one inverse FFT.  The recorded
-    radius is the FS geodesic distance from the chart origin."""
+    v* A v = sum_d c_d e^{i d (theta - pi/4)}, c_d = sum_j |e_j| |e_{j+d}| A_{j,j+d}
+    with A = G^{-1}, G = gram_matrix(model) in the basis e_k, formed in float64
+    per parity block: one diagonal at a time, even d only (A and c_d are 0 for
+    odd d), then d folded mod n_theta, one inverse FFT and a roll by n_theta/8
+    columns.  The recorded radius is the FS geodesic distance from the chart origin."""
     if G is None:
         G = gram_matrix(model)
     m, n_lat, n_theta = model.m, 96, 128
     L_inv, A = _inverse_factor(G), np.zeros_like(G)
     for b in _BLOCKS.values():
-        A[b, b] = L_inv[b, b].conj().T @ L_inv[b, b]  # (L L^H)^{-1}, block by block
+        A[b, b] = L_inv[b, b].T @ L_inv[b, b]  # (L L^T)^{-1}, block by block
     edges = np.array([1.0, 0.6, 0.0, -1.0])  # t = cos(lat) at |z| = 0, 1/2, 1, inf
     t, wt = _panels(edges, np.diff(np.round(n_lat * (1.0 - edges) / 2.0)).astype(int))
     r = np.sqrt((1.0 - t) / (1.0 + t))
     a = np.exp(_log_frame(m, r))
-    c = np.zeros((n_lat, m + 1), dtype=complex)
+    c = np.zeros((n_lat, m + 1))
     for d in range(0, m + 1, 2):  # A, and with it c_d, is 0 for odd d
         c[:, d] = (a[:, :m + 1 - d] * a[:, d:]) @ np.diagonal(A, d)
-    c[:, 0] = 0.5 * c[:, 0].real  # v* A v = 2 Re sum_{d >= 0} c_d e^{i d theta}, c_0 halved
+    c[:, 0] *= 0.5  # v* A v = 2 Re sum_{d >= 0} c_d e^{i d (theta - pi/4)}, c_0 halved
     c = np.pad(c, ((0, 0), (0, -(m + 1) % n_theta))).reshape(n_lat, -1, n_theta).sum(axis=1)
     phi, D, idx = _octant_fields(model.pert, r, n_theta)
-    vals = 2.0 * n_theta * np.fft.ifft(c, axis=1).real * np.exp(m * phi)[:, idx]
-    vals = _finite(vals, "kernel field").ravel()
+    F = np.roll(np.fft.ifft(c, axis=1).real, n_theta // 8, axis=1)  # theta - pi/4 to theta
+    vals = _finite(2.0 * n_theta * F * np.exp(m * phi)[:, idx], "kernel field").ravel()
     # dx dy = r dr d theta = dt d theta / (1+t)^2
     weights = (D[:, idx] * (wt / (1.0 + t) ** 2)[:, None] * (2.0 * math.pi / n_theta)).ravel()
     flat_r = np.repeat(np.arccos(t) / math.sqrt(4.0 * math.pi), n_theta)  # area-1 sphere radius

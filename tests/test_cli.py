@@ -497,11 +497,11 @@ class TestOutputFormat:
         assert run(["gram", "--m", "8", "--pert", "6", "--dump-gram", str(dump)]) == 0
         capsys.readouterr()
         G = gram_matrix(GramModel(8, PerturbedPotential(6)))
-        rows = [ln for ln in read(dump).splitlines() if not ln.startswith("#")][1:]
-        assert len(rows) == G.size
+        header, *rows = [ln for ln in read(dump).splitlines() if not ln.startswith("#")]
+        assert header == "i,j,g" and len(rows) == G.size
         for row in rows:
-            i, j, re, im = row.split(",")
-            assert complex(float(re), float(im)) == G[int(i), int(j)]
+            i, j, g = row.split(",")
+            assert float(g) == G[int(i), int(j)]
 
     def test_cone_sweep_csv(self, tmp_path):
         out = tmp_path / "s.csv"

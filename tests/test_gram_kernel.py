@@ -214,6 +214,16 @@ def _field_every_diagonal(model, G):
     return (2.0 * n_theta * np.fft.ifft(c, axis=1).real * np.exp(m * phi)[:, idx]).ravel()
 
 
+def _rotated(G, sign=-1):
+    """U G U* for U = diag(e^{-i pi k/4}): products of e_k = z^k / sqrt(N_k^FS)
+    taken in gram's basis w^k / sqrt(N_k^FS) = U_kk e_k, w = e^{-i pi/4} z.
+    Entry (i, j) takes e^{sign i pi (i-j)/4}, for even i - j exactly one of
+    (1, -i, -1, i); sign = +1 takes gram's basis back to e_k."""
+    i, j = np.indices(G.shape)
+    exact = np.array([1.0, -1j, -1.0, 1j])[(i - j) // 2 * -sign % 4]
+    return G * np.where((i - j) % 2, np.exp(0.25j * sign * math.pi * (i - j)), exact)
+
+
 def _odd(G):
     """The entries of G where i + j is odd."""
     i, j = np.indices(G.shape)
@@ -662,19 +672,20 @@ class TestCpn:
 
 class TestGram:
     def test_zero_perturbation_diagonal(self):
-        # the basis e_k = z^k / sqrt(N_k^FS) is FS-orthonormal: no rounding at all
+        # the basis w^k / sqrt(N_k^FS) is FS-orthonormal: no rounding at all
         m = 10
         G = gram_matrix(GramModel(m))
-        assert G.dtype == complex and np.array_equal(G, np.eye(m + 1))
+        assert G.dtype == float and np.array_equal(G, np.eye(m + 1))
 
     def test_hermitian_exactly(self):
         G = gram_matrix(GramModel(8, PerturbedPotential(6)))
-        assert np.max(np.abs(G - G.conj().T)) == 0.0
+        assert G.dtype == float and np.array_equal(G, G.T)
 
     def test_correction_matches_double_loop(self):
         # reference: the per-(i, j) loop over the same polar grid and the same
         # (phi, D) from the grid helper; the one matrix product only changes
-        # the order of the radial sums
+        # the order of the radial sums; the reference, in e_k = z^k, is rotated
+        # to gram's basis w^k
         m, pert = 12, PerturbedPotential(6)
         model = GramModel(m, pert, n_r=40, n_theta=64)
         rho, wr = gram._radial_rule(model.n_r)
@@ -685,19 +696,22 @@ class TestGram:
         W = (1.0 + s[:, None]) ** (-m) * (np.exp(m * phi) * D - base[:, None])
         A = np.fft.fft(W, axis=1) * (2.0 * math.pi / nt)
         C = gram._correction_matrix(model)
+        want, tol = np.zeros((m + 1, m + 1), dtype=complex), np.zeros((m + 1, m + 1))
         for i in range(m + 1):
             for j in range(i, m + 1):
                 terms = wr * rho ** (i + j) * A[:, j - i]
-                tol = model.n_r * np.finfo(float).eps * np.sum(np.abs(terms))
-                assert abs(C[i, j] - np.sum(terms)) <= tol
-                assert C[j, i] == np.conj(C[i, j])
+                want[i, j], want[j, i] = np.sum(terms), np.conj(np.sum(terms))
+                tol[i, j] = tol[j, i] = model.n_r * np.finfo(float).eps * np.sum(np.abs(terms))
+        assert np.all(np.abs(C - _rotated(want)) <= tol)
+        assert C.dtype == float and np.array_equal(C, C.T)
 
     @pytest.mark.parametrize("n_theta", [320, 512])
     def test_real_fft_matches_complex_fft(self, n_theta):
         # m = 300 > n_theta/2: the columns d > n_theta/2 of the angular transform
         # are conjugates of columns n_theta - d, which on 320 angles are far
         # above rounding; the complex FFT of the same W is the reference, to
-        # the transforms' rounding of log2(n_theta) eps per row mass
+        # the transforms' rounding of log2(n_theta) eps per row mass, rotated
+        # to gram's basis w^k
         m, pert = 300, PerturbedPotential(6)
         model = GramModel(m, pert, n_theta=n_theta)
         rho, wr = gram._radial_rule(model.n_r)
@@ -709,7 +723,7 @@ class TestGram:
         P = wr[:, None] * rho[:, None] ** np.arange(2 * m + 1)
         M = P.T @ (np.fft.fft(W, axis=1)[:, :m + 1] * h)
         i, j = np.indices((m + 1, m + 1))
-        want = np.where(j > i, M[i + j, np.abs(j - i)], M[i + j, np.abs(j - i)].conj())
+        want = _rotated(np.where(j > i, M[i + j, np.abs(j - i)], M[i + j, np.abs(j - i)].conj()))
         mass = np.abs(P).T @ (np.sum(np.abs(W), axis=1) * h)
         tol = math.log2(nt) * np.finfo(float).eps * mass[i + j]
         C = gram._correction_matrix(model)
@@ -772,7 +786,7 @@ class TestGram:
         # bit for bit, and the same refusal with the same minimum
         def outcome(m):
             model = GramModel(m, PerturbedPotential(k))
-            f = rho_gram_field(model, np.eye(m + 1, dtype=complex))
+            f = rho_gram_field(model, np.eye(m + 1))
             try:
                 C = gram._correction_matrix(model)
             except ValueError as e:
@@ -809,13 +823,27 @@ class TestGram:
     @pytest.mark.parametrize("k", [3, 6, 10])
     def test_even_blocks_equal_the_full_correction(self, k, m):
         # the correction formed on even powers and harmonics only, its odd
-        # parity entries set to 0, equals the one formed on all of them bit
-        # for bit, m > n_theta/2 included: phi is even under z -> -z, and the
-        # angular transform's odd harmonics come out exactly 0
+        # parity entries set to 0, equals the one formed on all of them,
+        # m > n_theta/2 included: phi is even under z -> -z, and the angular
+        # transform's odd harmonics come out exactly 0.  The full one, complex
+        # and rotated to gram's basis w^k, differs by the order of its radial
+        # sums (n_r eps per sum of |terms|) and by an imaginary part of the
+        # transforms' rounding (log2(n_theta) eps per row mass)
         model = GramModel(m, PerturbedPotential(k))
         G = gram_matrix(model)
         assert not np.any(_odd(G))
-        assert G.tobytes() == _full_gram(model).tobytes()
+        nt, h, eps = model.n_theta, 2.0 * math.pi / model.n_theta, np.finfo(float).eps
+        rho, wr = gram._radial_rule(model.n_r)
+        phi, D = _grid_fields(model.pert, rho, nt)
+        s = (rho * rho)[:, None]
+        W = (1.0 + s) ** (-m) * (np.exp(m * phi) * D - 1.0 / (math.pi * (1.0 + s) ** 2))
+        P = wr[:, None] * rho[:, None] ** np.arange(2 * m + 1)
+        i, j = np.indices(G.shape)
+        sc = np.exp(-0.5 * fs_log_norms(m))
+        tol = eps * np.outer(sc, sc) * (
+            model.n_r * (P.T @ np.abs(np.fft.fft(W, axis=1)[:, :m + 1] * h))[i + j, np.abs(j - i)]
+            + math.log2(nt) * (P.T @ (np.sum(np.abs(W), axis=1) * h))[i + j])
+        assert np.all(np.abs(G - _rotated(_full_gram(model))) <= tol)
 
     @pytest.mark.parametrize("m", [1, 8, 40, 128])
     @pytest.mark.parametrize("k", [3, 6])
@@ -828,11 +856,12 @@ class TestGram:
 
     @pytest.mark.parametrize("m", [8, 40, 128])
     def test_field_equals_every_diagonal(self, m):
-        # c_d is 0 for odd d: the loop over even d and A formed per block
-        # give the values of the whole A on every diagonal
+        # c_d is 0 for odd d: the loop over even d and A formed per block, all
+        # real, give the values of the whole complex A on every diagonal, G
+        # taken back to the basis e_k = z^k
         model = GramModel(m, PerturbedPotential(6))
         G = gram_matrix(model)
-        want = _field_every_diagonal(model, G)
+        want = _field_every_diagonal(model, _rotated(G, sign=1))
         assert np.max(np.abs(rho_gram_field(model, G).values / want - 1.0)) <= 1e-13
 
     def test_coupled_parities_refused(self):
@@ -844,9 +873,19 @@ class TestGram:
             with pytest.raises(ValueError, match="couples even and odd powers"):
                 f()
 
+    def test_complex_gram_refused(self):
+        # a caller's G with one imaginary entry: the real factors would drop it
+        model = GramModel(8, PerturbedPotential(6))
+        G = gram_matrix(model).astype(complex)
+        G[2, 4], G[4, 2] = G[2, 4] + 1e-3j, G[4, 2] - 1e-3j
+        for f in (lambda: gram._inverse_factor(G), lambda: rho_gram(G, model, 0.3),
+                  lambda: rho_gram_field(model, G)):
+            with pytest.raises(ValueError, match="Gram matrix not real"):
+                f()
+
     @pytest.mark.parametrize("block", ["even", "odd"])
     def test_failed_block_is_named(self, block):
-        G = np.eye(9, dtype=complex)
+        G = np.eye(9)
         G[gram._BLOCKS[block], gram._BLOCKS[block]] *= -2.0
         with pytest.raises(ArithmeticError, match=f"not positive definite on its {block} "
                                                   r"block \(smallest eigenvalue -2.000e\+00\)"):
@@ -856,11 +895,12 @@ class TestGram:
         # every entry of G at m = 8, k = 6 against the same integral in
         # 30-digit arithmetic: 24 Gauss-Legendre nodes in rho on [0, 1/2] and
         # on [1/2, 1], the trapezoid rule on 128 angles, with phi, its
-        # Laplacian and the cutoff written out here from their definitions
+        # Laplacian and the cutoff written out here from their definitions,
+        # in e_k = z^k and rotated to gram's basis w^k, w = e^{-i pi/4} z
         m, k = 8, 6
         G = gram_matrix(GramModel(m, PerturbedPotential(k)))
-        want = _gram_mpmath(m, k, n_theta=128)
-        scale = np.sqrt(np.outer(G.diagonal().real, G.diagonal().real))
+        want = _rotated(_gram_mpmath(m, k, n_theta=128))
+        scale = np.sqrt(np.outer(G.diagonal(), G.diagonal()))
         assert np.all(np.abs(G - want) <= 1e-13 * scale)
 
     def test_n_theta_multiple_of_8(self):
